@@ -3,9 +3,15 @@
 An algebra is a basis e_0..e_{n-1} together with a rational tensor C such that
 e_k * e_l = sum_p C[k][l][p] * e_p, with e_0 acting as the unit.  The two
 canonical instances are the quaternion algebras E(F, a, b) and the complex
-field viewed as a 2-dimensional real algebra.  All arithmetic in this module
-is exact (fractions.Fraction); float coordinates are accepted and propagate
-through the same structure tensor for the numeric differentiation paths.
+field viewed as a 2-dimensional real algebra.
+
+Products run on one of two scalar kernels, picked by the operands' types:
+when either operand holds a float coordinate, `mul` converts both coordinate
+tuples to float once and accumulates float products over a float copy of the
+structure tensor, so the result holds only floats; otherwise it multiplies
+exactly in fractions.Fraction.  The float kernel rounds each term as
+float(a) * float(b) * float(c), exactly as mixed Fraction/float arithmetic
+would, so the numeric differentiation paths see the same values either way.
 """
 
 from __future__ import annotations
@@ -101,6 +107,11 @@ class AlgebraSpec:
                     if c:
                         out.append((k, l, p, c))
         return tuple(out)
+
+    @cached_property
+    def _float_triples(self) -> tuple[tuple[int, int, int, float], ...]:
+        # The same sparse tensor with float constants, for the float kernel.
+        return tuple((k, l, p, float(c)) for k, l, p, c in self._nonzero_triples)
 
     # -- element factories ------------------------------------------------
 
@@ -227,10 +238,24 @@ class Element:
 
 
 def mul(x: Element, y: Element) -> Element:
-    """Product via structure constants: (xy)^p = sum x^k y^l C[k][l][p]."""
+    """Product via structure constants: (xy)^p = sum x^k y^l C[k][l][p].
+
+    A float coordinate in either operand selects the float kernel; exact
+    operands keep exact arithmetic throughout.
+    """
     x._check_same(y)
-    out = [Fraction(0)] * x.alg.dim
     xc, yc = x.coords, y.coords
+    if float in map(type, xc) or float in map(type, yc):
+        xf = tuple(map(float, xc))
+        yf = tuple(map(float, yc))
+        acc = [0.0] * x.alg.dim
+        for k, l, p, c in x.alg._float_triples:
+            a = xf[k]
+            b = yf[l]
+            if a and b:
+                acc[p] += a * b * c
+        return Element(x.alg, tuple(acc))
+    out = [Fraction(0)] * x.alg.dim
     for k, l, p, c in x.alg._nonzero_triples:
         a = xc[k]
         b = yc[l]

@@ -20,6 +20,7 @@ from .algebra import CANONICAL, AlgebraSpec, format_element, mul
 from .errors import NcdrError, ParseError
 from .gateaux import (
     DEFAULT_CONFIG,
+    DiffConfig,
     MapEvaluator,
     differential_std_components,
     jacobian,
@@ -372,12 +373,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config() -> DiffConfig:
+    tol = os.environ.get("NCDR_TOL")
+    if tol is None:
+        return DEFAULT_CONFIG
+    try:
+        return replace(DEFAULT_CONFIG, rel_tol=float(tol))
+    except ValueError:
+        raise ParseError(f"NCDR_TOL must be a finite positive number, got {tol!r}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tol = os.environ.get("NCDR_TOL")
-    cfg = DEFAULT_CONFIG if tol is None else replace(DEFAULT_CONFIG, rel_tol=float(tol))
     try:
-        return args.handler(args, cfg)
+        return args.handler(args, _config())
     except NcdrError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -58,7 +58,7 @@ class UnboundSymbol(NcdrError):
 
 
 class RangeError(NcdrError):
-    """Integer argument outside the supported range."""
+    """Argument outside the supported range."""
 
 
 class NoSolution(NcdrError):

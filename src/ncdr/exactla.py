@@ -33,10 +33,6 @@ def mat_vec(A: Matrix, v: Vector) -> Vector:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in A]
 
 
-def transpose(A: Matrix) -> Matrix:
-    return [list(col) for col in zip(*A)]
-
-
 def rref(M: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices)."""
     R = [row[:] for row in M]

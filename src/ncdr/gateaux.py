@@ -9,6 +9,7 @@ the same engine along basis directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence, Union
@@ -31,7 +32,10 @@ Point = Union[Element, Sequence[Element]]
 class DiffConfig:
     """Step policy for the difference engine and its downstream thresholds."""
 
-    base_step: float = 1e-2
+    # A power of two: with ratio 2 every step is an exact binary fraction, so
+    # x +- t a and the division by 2t round nothing for dyadic x and a, and
+    # rounding in f alone sets the error floor of the differences.
+    base_step: float = 2.0**-6
     levels: int = 4
     ratio: float = 2.0
     rel_tol: float = 1e-8
@@ -45,6 +49,8 @@ class DiffConfig:
             raise ValueError("base step must be positive")
         if self.levels < 2:
             raise ValueError("need at least two extrapolation levels")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"relative tolerance must be finite and positive: {self.rel_tol!r}")
 
 
 DEFAULT_CONFIG = DiffConfig()
@@ -108,10 +114,8 @@ def _flatten(elems: tuple[Element, ...]) -> np.ndarray:
 
 def _unflatten(alg: AlgebraSpec, arity: int, values: np.ndarray) -> tuple[Element, ...]:
     n = alg.dim
-    return tuple(
-        Element(alg, tuple(float(v) for v in values[k * n : (k + 1) * n]))
-        for k in range(arity)
-    )
+    flat = values.tolist()
+    return tuple(Element(alg, tuple(flat[k * n : (k + 1) * n])) for k in range(arity))
 
 
 def _wrap(f: MapEvaluator, out: tuple[Element, ...]):
@@ -141,10 +145,17 @@ def _richardson(sample: Callable[[float], np.ndarray], cfg: DiffConfig) -> tuple
 def _directional(
     f: MapEvaluator, x: tuple[Element, ...], a: tuple[Element, ...], cfg: DiffConfig
 ) -> tuple[np.ndarray, float]:
+    # x and a hold float coordinates, so x + t a is built coordinate-wise;
+    # (-t) v == -(t v) exactly, so x - t a is shifted(-t).
+    parts = [(xi.alg, xi.coords, ai.coords) for xi, ai in zip(x, a)]
+
+    def shifted(t: float) -> tuple[Element, ...]:
+        return tuple(
+            Element(alg, tuple([u + t * v for u, v in zip(xc, ac)])) for alg, xc, ac in parts
+        )
+
     def sample(t: float) -> np.ndarray:
-        plus = f(tuple(xi + t * ai for xi, ai in zip(x, a)))
-        minus = f(tuple(xi - t * ai for xi, ai in zip(x, a)))
-        return (_flatten(plus) - _flatten(minus)) / (2.0 * t)
+        return (_flatten(f(shifted(t))) - _flatten(f(shifted(-t)))) / (2.0 * t)
 
     value, err = _richardson(sample, cfg)
     scale = max(1.0, float(np.max(np.abs(value))))
@@ -160,6 +171,9 @@ def gateaux_with_error(
     xt = _floats(_as_tuple(f, x))
     at = _floats(_as_tuple(f, a))
     if all(e.is_zero() for e in at):
+        # df(x)(0) = 0 only where f is defined: evaluating f at x raises at
+        # an undefined point, as every other direction would.
+        f(xt)
         zero = tuple(f.codomain[0].zero.to_float() for _ in range(f.codomain[1]))
         return _wrap(f, zero), 0.0
     value, err = _directional(f, xt, at, cfg)
@@ -167,7 +181,7 @@ def gateaux_with_error(
 
 
 def gateaux(f: MapEvaluator, x: Point, a: Point, cfg: DiffConfig = DEFAULT_CONFIG):
-    """Directional derivative of f at x along a (zero direction gives zero)."""
+    """Directional derivative of f at x along a (zero where a = 0 and f is defined)."""
     return gateaux_with_error(f, x, a, cfg)[0]
 
 
@@ -244,13 +258,12 @@ def jacobian(f: MapEvaluator, x: Point, cfg: DiffConfig = DEFAULT_CONFIG) -> np.
     xt = _floats(_as_tuple(f, x))
     alg_in, arity_in = f.domain
     n_in = alg_in.dim
+    zero = Element(alg_in, (0.0,) * n_in)
+    units = [Element(alg_in, tuple(float(i == c) for i in range(n_in))) for c in range(n_in)]
     cols = []
     for slot in range(arity_in):
-        for c in range(n_in):
-            direction = tuple(
-                alg_in.basis(c).to_float() if k == slot else alg_in.zero.to_float()
-                for k in range(arity_in)
-            )
+        for unit in units:
+            direction = tuple(unit if k == slot else zero for k in range(arity_in))
             col, _ = _directional(f, xt, direction, cfg)
             cols.append(col)
     return np.column_stack(cols)
@@ -278,8 +291,8 @@ def differential_std_components(
     ):
         return coord_to_std(CoordMatrix.from_rows(alg, snapped))
     B = big_c(alg)
-    A = np.array([[float(v) for v in row] for row in B.mat])
-    b = np.array([float(jac[j, i]) for j in range(n) for i in range(n)])
+    A = B.float_mat
+    b = jac.ravel()
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.max(np.abs(A @ sol - b)))
     if residual > cfg.lstsq_residual_tol:

@@ -13,8 +13,10 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Literal, Sequence
+
+import numpy as np
 
 from . import exactla
 from .algebra import AlgebraSpec, Element, ScalarLike, as_scalar, mul
@@ -139,6 +141,13 @@ class BigC:
     det: Fraction
     zero_map_kernel: tuple[Grid, ...]
     inv: Grid | None
+
+    @cached_property
+    def float_mat(self) -> np.ndarray:
+        """mat in floats, for the numeric least-squares solve; read-only."""
+        mat = np.array(self.mat, dtype=float)
+        mat.flags.writeable = False
+        return mat
 
     def report(self) -> dict:
         return {

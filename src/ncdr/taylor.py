@@ -4,7 +4,7 @@ A first-order equation dy(h) = F(x; h) with x-only right-hand side is solved
 by differentiating F formally, checking each higher derivative is symmetric
 in its direction symbols (the solvability obstruction), and reassembling the
 Taylor polynomial about the base point.  The exponent is the everywhere-
-convergent series sum x^n/n! with a rigorous scalar tail bound; additivity
+convergent series sum x^n/n!, by scaling and squaring; additivity
 exp(a+b) = exp(a) exp(b) holds exactly when a and b commute, and the gap is
 measurable otherwise.
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,25 +111,48 @@ def solve_ode_taylor(
 
 
 def exp(x: Element, tol: float = 1e-12) -> Element:
-    """Series sum x^n/n! with tail bound |x|^{N+1} e^{|x|} / (N+1)!.
+    """Exponent sum x^n/n! by scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26(4) 2005).
 
-    Norm multiplicativity makes the scalar bound rigorous for the summed
-    remainder; float path throughout.
+    x is halved s times to y with |y| <= 1, the series of y is summed until
+    its tail bound |y|^{N+1} e^{|y|} / (N+1)! falls below tol / 2^{s+1}
+    relative to e^{-|y|} <= |exp(y)|, and the sum is squared s times; each
+    squaring at most doubles a relative error, to first order.  Where the
+    coordinate norm is multiplicative (H, C) this keeps the truncation error
+    within tol/2 of |exp(x)|.  Rounding in the squarings is estimated at
+    2^{s+1} m u (u the unit roundoff, m the most products summed into one
+    coordinate); RangeError is raised when that estimate exceeds tol/2, when
+    tol is not finite and positive, and when the result overflows floats.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise RangeError(f"tolerance must be finite and positive, got {tol!r}")
     x = x.to_float()
     r = norm_float(x)
+    if not math.isfinite(r):
+        raise RangeError(f"exp needs a finite argument, got |x| = {r!r}")
+    s = max(0, math.ceil(math.log2(r))) if r > 1 else 0
+    m = max(Counter(p for _, _, p, _ in x.alg._nonzero_triples).values())
+    unit_roundoff = sys.float_info.epsilon / 2
+    # 2^{s+1} m u > tol/2, compared in log2 so that a huge s cannot overflow.
+    if s + 1 + math.log2(m * unit_roundoff) > math.log2(tol / 2):
+        raise RangeError(f"exp at |x| = {r:.6g} cannot meet tol {tol:.3g} in floats")
+    y = x * 0.5**s
+    r = r * 0.5**s
+    target = tol / 2 ** (s + 1) * math.exp(-r)
     acc = x.alg.one.to_float()
     term = acc
-    growth = math.exp(r)
     n = 0
-    bound = r * growth  # tail after the n = 0 partial sum
-    while bound >= tol and n < 1000:
+    bound = r * math.exp(r)  # tail after the n = 0 partial sum
+    # r <= 1, so the bound falls faster than 1/n! and the loop ends.
+    while bound > target:
         n += 1
-        term = mul(term, x) * (1.0 / n)
+        term = mul(term, y) * (1.0 / n)
         acc = acc + term
         bound = bound * r / (n + 1)
+    for _ in range(s):
+        acc = mul(acc, acc)
+    if not all(map(math.isfinite, acc.coords)):
+        raise RangeError(f"exp overflows the float range at |x| = {norm_float(x):.6g}")
     return acc
 
 

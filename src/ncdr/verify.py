@@ -142,6 +142,13 @@ def _numeric_point(rng: random.Random) -> Element:
             return x
 
 
+def _nonzero_direction(rng: random.Random) -> Element:
+    while True:
+        x = _numeric_direction(rng)
+        if not x.is_zero():
+            return x
+
+
 def _random_std(rng: random.Random, alg: AlgebraSpec = H) -> StdComponents:
     n = alg.dim
     return StdComponents.from_rows(
@@ -368,7 +375,8 @@ def check_chain_product_mixed(rng: random.Random, cfg: DiffConfig) -> tuple[bool
     for _ in range(50):
         x = _numeric_point(rng)
         a = _numeric_direction(rng)
-        b, c = _numeric_direction(rng), _numeric_direction(rng)
+        # Nonzero b and c keep b*x*c invertible, so invert may follow it.
+        b, c = _nonzero_direction(rng), _nonzero_direction(rng)
         family = [maps.square(H), maps.invert(H), maps.two_sided(b, c), maps.cube(H)]
         f = rng.choice(family)
         g = rng.choice(family)

@@ -49,3 +49,10 @@ def test_report_orders_checks_by_name():
     names = [r.name for r in report.results]
     assert names == sorted(names)
     assert len(names) == len(CHECKS)
+
+
+def test_chain_product_check_draws_invertible_two_sided_maps():
+    # Seed 63 once drew a zero b for the b*x*c map, and inverting that zero
+    # map failed the check with NotInvertible.
+    result = run_check("10-chain-product-mixed", seed=63)
+    assert result.passed, result.detail

@@ -180,3 +180,24 @@ def test_tolerance_env_override(capsys, monkeypatch):
     monkeypatch.setenv("NCDR_TOL", "1e-3")
     code, out, _ = run(capsys, "diff", "table", "--seed", "3", "--points", "5", "--json")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+def test_tolerance_env_rejects_bad_values(capsys, monkeypatch, value):
+    monkeypatch.setenv("NCDR_TOL", value)
+    code, out, err = run(capsys, "diff", "table", "--seed", "3", "--points", "5", "--json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ParseError:") and "NCDR_TOL" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("exp", "--at", "800", "--json"),
+    ("exp", "--at", "0+1i", "--tol", "nan"),
+    ("exp", "--at", "0+1i", "--tol", "-1"),
+])
+def test_exp_domain_errors_exit_cleanly(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("RangeError:")

@@ -18,6 +18,7 @@ from ncdr.algebra import (
 )
 from ncdr.errors import (
     IndexOutOfRange,
+    NotInvertible,
     NotRepresentable,
     ZeroDirection,
 )
@@ -289,3 +290,27 @@ def test_derivative_table_conformance():
         for f, want in cases:
             got = gateaux(f, x, h, cfg)
             assert norm_float(got - want.to_float()) <= 1e-8 * max(1.0, norm_float(want))
+
+
+@pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_diff_config_rejects_bad_rel_tol(rel_tol):
+    with pytest.raises(ValueError):
+        DiffConfig(rel_tol=rel_tol)
+
+
+def test_zero_direction_still_needs_f_defined_at_x():
+    # d(invert)(0)(0) does not exist: invert is undefined at 0.
+    with pytest.raises(NotInvertible):
+        gateaux(maps.invert(H), H.zero, H.zero)
+    # invert after the zero map b*x*c (b = 0), along the zero direction.
+    with pytest.raises(NotInvertible):
+        verify_chain_rule(maps.invert(H), maps.two_sided(H.zero, ONE), ONE + I, H.zero)
+
+
+def test_chain_rule_at_large_point_meets_tolerance():
+    # x^9 at |x| = 4: both sides near 5e5, so 1e-7 absolute asks for about
+    # 1e-13 relative; the power-of-two steps keep the differences exact
+    # enough to meet it.
+    x = H.element([2, 2, -2, -2])
+    a = H.element([Fraction(-1, 2), 1, 1, 1])
+    assert verify_chain_rule(maps.cube(H), maps.cube(H), x, a) <= 1e-7

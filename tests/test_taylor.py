@@ -128,6 +128,41 @@ def test_exp_inverse_pairing():
     assert norm_float(mul(exp(x, tol), exp(-x, tol)) - ONE.to_float()) <= 10 * tol
 
 
+@pytest.mark.parametrize("theta", [20.0, 40.0, 300.0])
+def test_exp_large_angles(theta):
+    rng = random.Random(int(theta))
+    points = [(0.0, [1.0, 0.0, 0.0])]  # s + theta*i
+    for _ in range(10):
+        raw = [rng.uniform(-1, 1) for _ in range(3)]
+        scale = math.sqrt(sum(v * v for v in raw))
+        points.append((rng.uniform(-1, 1), [v / scale for v in raw]))
+    for s, u in points:
+        got = exp(H.element([s] + [theta * v for v in u]))
+        es = math.exp(s)
+        want = H.element([es * math.cos(theta)] + [es * math.sin(theta) * v for v in u])
+        assert norm_float(got - want) <= 1e-12 * max(1.0, es)
+
+
+def test_exp_at_norm_800_raises_range_error():
+    # e^800 exceeds the float range; at the default tol the squarings alone
+    # would also round beyond the tolerance.
+    with pytest.raises(RangeError):
+        exp(H.scalar(800))
+    with pytest.raises(RangeError):
+        exp(H.scalar(800), tol=1e-9)
+    with pytest.raises(RangeError):
+        exp(H.element([0, 800, 0, 0]))
+    got = exp(H.element([0, 800, 0, 0]), tol=1e-11)
+    assert abs(got.coords[0] - math.cos(800.0)) <= 1e-11
+    assert abs(got.coords[1] - math.sin(800.0)) <= 1e-11
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_exp_rejects_bad_tolerance(tol):
+    with pytest.raises(RangeError):
+        exp(I, tol)
+
+
 def test_exp_additivity_gap():
     assert exp_additivity_gap(I, mul(I, I)) <= 1e-10
     assert exp_additivity_gap(I, J) > 0.01
