@@ -154,22 +154,31 @@ class AlgebraSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "AlgebraSpec":
-        doc = json.loads(text)
-        n = int(doc["dim"])
-        flat = [Fraction(s) for s in doc["structure"]]
+        """Parse to_json's document; ParseError when it is malformed."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"algebra document is not JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError("algebra document must be a JSON object")
+        missing = [key for key in ("name", "dim", "structure") if key not in doc]
+        if missing:
+            raise ParseError(f"algebra document lacks {', '.join(missing)}")
+        name, n = doc["name"], doc["dim"]
+        if not isinstance(name, str) or type(n) is not int:
+            raise ParseError("algebra name must be a string and dim an integer")
+        try:
+            flat = [Fraction(s) for s in doc["structure"]]
+            signs = tuple(int(s) for s in doc.get("conj_signs") or ())
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad structure constant or conj sign: {exc}") from exc
         if len(flat) != n ** 3:
-            raise ValueError("structure array must hold dim^3 entries")
+            raise ParseError("structure array must hold dim^3 entries")
         C = tuple(
             tuple(tuple(flat[(k * n + l) * n + p] for p in range(n)) for l in range(n))
             for k in range(n)
         )
-        signs = doc.get("conj_signs")
-        return cls(
-            name=doc["name"],
-            dim=n,
-            structure=C,
-            conj_signs=tuple(int(s) for s in signs) if signs else None,
-        )
+        return cls(name=name, dim=n, structure=C, conj_signs=signs or None)
 
 
 @dataclass(frozen=True)
@@ -299,39 +308,6 @@ def rotate(q: Element, p: Element) -> Element:
 def norm_float(x: Element) -> float:
     """Euclidean length of the coordinate vector, for float tolerance checks."""
     return math.sqrt(sum(float(c) * float(c) for c in x.coords))
-
-
-@dataclass(frozen=True)
-class RealMatrix4:
-    """A 4x4 scalar matrix; the real image of a quaternion under J."""
-
-    rows: tuple[tuple[ScalarLike, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
-            raise WrongDimension("RealMatrix4 must be 4x4")
-
-    @classmethod
-    def identity(cls) -> "RealMatrix4":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)))
-
-    def __matmul__(self, other: "RealMatrix4") -> "RealMatrix4":
-        rows = tuple(
-            tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(4)) for j in range(4))
-            for i in range(4)
-        )
-        return RealMatrix4(rows)
-
-
-def embed_matrix(a: Element) -> RealMatrix4:
-    """Left-multiplication matrix J_a: column j holds the coordinates of a*e_j.
-
-    J is a ring homomorphism: J_a J_b = J_{ab} and J_{a+b} = J_a + J_b.
-    """
-    if a.alg.dim != 4:
-        raise WrongDimension("matrix embedding requires a 4-dimensional algebra")
-    cols = [mul(a, a.alg.basis(j)).coords for j in range(4)]
-    return RealMatrix4(tuple(tuple(cols[j][i] for j in range(4)) for i in range(4)))
 
 
 def make_quaternion_algebra(a: ScalarLike, b: ScalarLike, name: str | None = None) -> AlgebraSpec:

@@ -103,11 +103,7 @@ def _cmd_algebra_check(args, cfg) -> int:
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-        try:
-            alg = AlgebraSpec.from_json(text)
-        except ValueError as exc:
-            print(f"ValueError: {exc}", file=sys.stderr)
-            return 1
+        alg = AlgebraSpec.from_json(text)
     else:
         alg = _algebra(args.alg)
     # Construction validates the unit and associativity axioms.

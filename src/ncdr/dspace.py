@@ -1,8 +1,10 @@
 """Vector spaces over a division algebra with twin (left/right) scalar actions.
 
 Matrices of algebra elements multiply with the left factor first; a square
-matrix is inverted by embedding every entry into its real 4x4 left-action
-block, inverting the real matrix exactly, and reading the blocks back.
+matrix over an n-dimensional algebra is inverted by embedding every entry
+into its n x n rational left-action block, inverting the block matrix
+exactly, and reading the blocks back.  Maps between spaces are two-sided
+component sums; a 1 x 1 one converts to standard components.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from .algebra import (
     Element,
     element_from_strings,
     element_to_strings,
-    embed_matrix,
     mul,
 )
 from .errors import DimensionMismatch, NotQuaternionBlock
+from .linmap import StdComponents, embed_matrix
 
 
 def _common_algebra(entries: Iterable[Element]) -> AlgebraSpec:
@@ -151,36 +153,37 @@ def lin_comb(a: Element, v: DVector, b: Element, c: Element, w: DVector, d: Elem
 
 
 def dmatrix_inverse(A: DMatrix) -> DMatrix:
-    """Two-sided inverse of a square matrix over a 4-dimensional algebra.
+    """Two-sided inverse of a square matrix over an n-dimensional algebra.
 
-    Embeds entrywise into a real 4r x 4r block matrix, inverts exactly over
-    the rationals, and maps each block back through the left-action pattern.
-    Raises Singular when no inverse exists; NotQuaternionBlock if a block of
-    the real inverse fails the pattern (cannot happen for valid input).
+    Embeds entrywise into a rational nr x nr block matrix, inverts exactly,
+    and maps each block back through the left-action pattern.  Raises
+    Singular when no inverse exists; NotQuaternionBlock if a block of the
+    inverse fails the pattern (cannot happen for valid input).
     """
     rows, cols = A.shape
     if rows != cols:
         raise DimensionMismatch("only square matrices invert")
     alg = A.alg
+    n = alg.dim
     r = rows
-    big = [[Fraction(0)] * (4 * r) for _ in range(4 * r)]
+    big = [[Fraction(0)] * (n * r) for _ in range(n * r)]
     for i in range(r):
         for j in range(r):
-            block = embed_matrix(A.entries[i][j]).rows
-            for bi in range(4):
-                for bj in range(4):
-                    big[4 * i + bi][4 * j + bj] = Fraction(block[bi][bj])
+            block = embed_matrix(A.entries[i][j]).mat
+            for bi in range(n):
+                for bj in range(n):
+                    big[n * i + bi][n * j + bj] = Fraction(block[bi][bj])
     inv = exactla.inverse(big)  # Singular propagates
     out = []
     for i in range(r):
         row = []
         for j in range(r):
-            coords = [inv[4 * i + bi][4 * j] for bi in range(4)]
+            coords = [inv[n * i + bi][n * j] for bi in range(n)]
             candidate = alg.element(coords)
-            pattern = embed_matrix(candidate).rows
-            for bi in range(4):
-                for bj in range(4):
-                    if inv[4 * i + bi][4 * j + bj] != pattern[bi][bj]:
+            pattern = embed_matrix(candidate).mat
+            for bi in range(n):
+                for bj in range(n):
+                    if inv[n * i + bi][n * j + bj] != pattern[bi][bj]:
                         raise NotQuaternionBlock(
                             f"inverse block ({i},{j}) is not a left-action matrix"
                         )
@@ -273,6 +276,23 @@ def apply_component_map(M: ComponentMap, v: DVector) -> DVector:
                 acc = acc + mul(mul(u, v[i]), w)
         out.append(acc)
     return DVector(tuple(out))
+
+
+def component_sum_to_std(M: ComponentMap) -> StdComponents:
+    """Standard components of a 1 x 1 map x -> sum_s u_s x v_s.
+
+    f^{ij} = sum_s u_s^i v_s^j, the superposed outer products.
+    """
+    if M.rows != 1 or M.cols != 1:
+        raise DimensionMismatch("standard components need a 1 x 1 component map")
+    n = M.alg.dim
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for u, v in M.pairs[0][0]:
+        for i in range(n):
+            if u.coords[i]:
+                for j in range(n):
+                    out[i][j] += u.coords[i] * v.coords[j]
+    return StdComponents(M.alg, tuple(tuple(r) for r in out))
 
 
 def compose_component_maps(B: ComponentMap, A: ComponentMap) -> ComponentMap:

@@ -30,7 +30,7 @@ class Singular(NcdrError):
 
 
 class NotQuaternionBlock(NcdrError):
-    """A 4x4 real block does not match the left-multiplication pattern."""
+    """An n x n rational block does not match the left-multiplication pattern."""
 
 
 class NotRepresentable(NcdrError):
@@ -70,4 +70,4 @@ class OrderExceeded(NcdrError):
 
 
 class ParseError(NcdrError):
-    """Malformed element or polynomial literal."""
+    """Malformed element or polynomial literal, or malformed JSON document."""

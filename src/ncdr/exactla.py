@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Rank and determinant go through fraction-free (Bareiss) elimination on a
-denominator-cleared integer copy; solving, nullspaces and inverses use plain
-Gauss-Jordan on Fractions.  No floating point anywhere.
+One elimination routine serves every operation: fraction-free (Bareiss)
+Gauss-Jordan on a copy whose rows are scaled to integers.  Rank is its pivot
+count, the determinant its common pivot value divided by the row scales, and
+the reduced row echelon form that solving, nullspaces and inverses read is
+its integer matrix over that pivot value.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -33,31 +35,6 @@ def mat_vec(A: Matrix, v: Vector) -> Vector:
     return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in A]
 
 
-def rref(M: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    R = [row[:] for row in M]
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if R[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        R[r], R[pivot_row] = R[pivot_row], R[r]
-        inv = Fraction(1) / R[r][c]
-        R[r] = [v * inv for v in R[r]]
-        for i in range(rows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
-
-
 def _integerize_rows(M: Matrix) -> tuple[list[list[int]], list[Fraction]]:
     """Scale each row to integers; returns (int matrix, per-row factors)."""
     out: list[list[int]] = []
@@ -71,52 +48,63 @@ def _integerize_rows(M: Matrix) -> tuple[list[list[int]], list[Fraction]]:
     return out, factors
 
 
-def rank(M: Matrix) -> int:
-    """Rank via fraction-free Bareiss elimination."""
-    if not M or not M[0]:
-        return 0
-    A, _ = _integerize_rows(M)
-    rows, cols = len(A), len(A[0])
-    r = 0
+def _fraction_free(A: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    Bareiss's update (Math. Comp. 22, 1968) applied above the pivot as well
+    as below it: at each pivot p every other row becomes
+    (p * row - row[c] * pivot_row) // prev, an exact division because every
+    entry is a minor of A.  Returns (A, pivot columns, swap sign, d): every
+    pivot entry ends equal to d, so A / d is the reduced row echelon form,
+    and for square A of full rank sign * d is its determinant.
+    """
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
     prev = 1
+    r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, rows) if A[i][c]), None)
         if pivot_row is None:
             continue
-        A[r], A[pivot_row] = A[pivot_row], A[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                A[i][j] = (A[i][j] * A[r][c] - A[i][c] * A[r][j]) // prev
-            A[i][c] = 0
-        prev = A[r][c]
+        if pivot_row != r:
+            A[r], A[pivot_row] = A[pivot_row], A[r]
+            sign = -sign
+        top = A[r]
+        p = top[c]
+        for i in range(rows):
+            if i != r:
+                f = A[i][c]
+                A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], top)]
+        prev = p
+        pivots.append(c)
         r += 1
         if r == rows:
             break
-    return r
+    return A, pivots, sign, prev
+
+
+def rref(M: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices)."""
+    A, pivots, _, d = _fraction_free(_integerize_rows(M)[0])
+    return [[Fraction(v, d) for v in row] for row in A], pivots
+
+
+def rank(M: Matrix) -> int:
+    """Rank: the number of pivots of the fraction-free elimination."""
+    return len(_fraction_free(_integerize_rows(M)[0])[1])
 
 
 def det(M: Matrix) -> Fraction:
-    """Determinant via Bareiss; exact, fraction-free after row clearing."""
+    """Determinant: sign * d of the denominator-cleared rows, divided back."""
     n = len(M)
-    if n == 0:
-        return Fraction(1)
     assert all(len(row) == n for row in M)
     A, factors = _integerize_rows(M)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        pivot_row = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            A[c], A[pivot_row] = A[pivot_row], A[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                A[i][j] = (A[i][j] * A[c][c] - A[i][c] * A[c][j]) // prev
-            A[i][c] = 0
-        prev = A[c][c]
-    value = Fraction(sign * A[n - 1][n - 1])
+    _, pivots, sign, d = _fraction_free(A)
+    if len(pivots) < n:
+        return Fraction(0)
+    value = Fraction(sign * d)
     for f in factors:
         value /= f
     return value

@@ -112,18 +112,17 @@ class CoordMatrix:
         return cls.from_rows(alg, json.loads(text))
 
 
-@dataclass(frozen=True)
-class ComponentSum:
-    """f(x) = sum_s u_s x v_s; the empty list is the zero map."""
+def embed_matrix(a: Element) -> CoordMatrix:
+    """Left-multiplication matrix J_a, the coordinate matrix of x -> a*x.
 
-    alg: AlgebraSpec
-    terms: tuple[tuple[Element, Element], ...]
-
-    def __call__(self, x: Element) -> Element:
-        acc = self.alg.zero
-        for u, v in self.terms:
-            acc = acc + mul(mul(u, x), v)
-        return acc
+    Column l holds the coordinates of a*e_l.  J is a ring homomorphism:
+    J_a J_b = J_{ab} and J_{a+b} = J_a + J_b.
+    """
+    n = a.alg.dim
+    J = [[Fraction(0)] * n for _ in range(n)]
+    for k, l, p, c in a.alg._nonzero_triples:
+        J[p][l] += a.coords[k] * c
+    return CoordMatrix(a.alg, tuple(tuple(row) for row in J))
 
 
 @dataclass(frozen=True)
@@ -243,18 +242,6 @@ def coord_to_std(m: CoordMatrix) -> StdSolution:
         unique = False
     comps = tuple(tuple(x[k * n + r] for r in range(n)) for k in range(n))
     return StdSolution(StdComponents(alg, comps), unique)
-
-
-def component_sum_to_std(cs: ComponentSum) -> StdComponents:
-    """f^{ij} = sum_s u_s^i v_s^j, the superposed outer products."""
-    n = cs.alg.dim
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for u, v in cs.terms:
-        for i in range(n):
-            if u.coords[i]:
-                for j in range(n):
-                    out[i][j] += u.coords[i] * v.coords[j]
-    return StdComponents(cs.alg, tuple(tuple(r) for r in out))
 
 
 def eval_std(f: StdComponents, x: Element) -> Element:

@@ -27,7 +27,8 @@ def conjugate(alg: AlgebraSpec) -> MapEvaluator:
 
 
 def norm_square(alg: AlgebraSpec) -> MapEvaluator:
-    return MapEvaluator.unary(alg, lambda x: alg.scalar(norm_sq(x)).to_float())
+    pad = (0.0,) * (alg.dim - 1)
+    return MapEvaluator.unary(alg, lambda x: Element(alg, (float(norm_sq(x)),) + pad))
 
 
 def two_sided(b: Element, c: Element) -> MapEvaluator:

@@ -26,7 +26,6 @@ from .algebra import (
     AlgebraSpec,
     Element,
     conj,
-    embed_matrix,
     inverse,
     mul,
     norm_float,
@@ -51,6 +50,7 @@ from .linmap import (
     big_c,
     compose_std,
     coord_to_std,
+    embed_matrix,
     std_to_coord,
 )
 from .ncpoly import (

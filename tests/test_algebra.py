@@ -1,5 +1,6 @@
 """Algebra kernel: multiplication tables, conjugation, norm, embedding."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,16 +12,15 @@ from ncdr.algebra import (
     COMPLEX,
     QUATERNIONS,
     AlgebraSpec,
-    RealMatrix4,
     conj,
-    embed_matrix,
     inverse,
     make_quaternion_algebra,
     mul,
     norm_sq,
     rotate,
 )
-from ncdr.errors import AlgebraMismatch, NotInvertible, WrongDimension, ZeroParameter
+from ncdr.errors import AlgebraMismatch, NotInvertible, ParseError, ZeroParameter
+from ncdr.linmap import CoordMatrix, embed_matrix
 
 H = QUATERNIONS
 ONE, I, J, K = (H.basis(n) for n in range(4))
@@ -129,13 +129,13 @@ def test_inverse_examples():
 
 
 def test_embed_matrix_pattern():
-    assert embed_matrix(ONE) == RealMatrix4.identity()
+    assert embed_matrix(ONE) == CoordMatrix.identity(H)
     Ji = embed_matrix(I)
-    assert [row[0] for row in Ji.rows] == [0, 1, 0, 0]
+    assert [row[0] for row in Ji.mat] == [0, 1, 0, 0]
     a = [Fraction(p) for p in (2, -3, 5, 7)]
     Ja = embed_matrix(H.element(a))
     a0, a1, a2, a3 = a
-    assert Ja.rows == (
+    assert Ja.mat == (
         (a0, -a1, -a2, -a3),
         (a1, a0, -a3, a2),
         (a2, a3, a0, -a1),
@@ -144,9 +144,13 @@ def test_embed_matrix_pattern():
     assert embed_matrix(I) @ embed_matrix(J) == embed_matrix(K)
 
 
-def test_embed_requires_four_dimensions():
-    with pytest.raises(WrongDimension):
-        embed_matrix(COMPLEX.basis(0))
+def test_embed_matrix_pattern_complex():
+    C = COMPLEX
+    assert embed_matrix(C.one) == CoordMatrix.identity(C)
+    a0, a1 = Fraction(3, 2), Fraction(-7)
+    assert embed_matrix(C.element([a0, a1])).mat == ((a0, -a1), (a1, a0))
+    i = C.basis(1)
+    assert embed_matrix(i) @ embed_matrix(i) == embed_matrix(-C.one)
 
 
 def test_rotate_examples():
@@ -186,9 +190,9 @@ def test_embedding_is_a_ring_homomorphism(x, y):
     assert embed_matrix(mul(x, y)) == embed_matrix(x) @ embed_matrix(y)
     sum_rows = tuple(
         tuple(a + b for a, b in zip(ra, rb))
-        for ra, rb in zip(embed_matrix(x).rows, embed_matrix(y).rows)
+        for ra, rb in zip(embed_matrix(x).mat, embed_matrix(y).mat)
     )
-    assert embed_matrix(x + y).rows == sum_rows
+    assert embed_matrix(x + y).mat == sum_rows
 
 
 @given(quaternions, quaternions)
@@ -205,3 +209,38 @@ def test_json_round_trip():
     for alg in (H, COMPLEX, make_quaternion_algebra(Fraction(1, 2), -3)):
         again = AlgebraSpec.from_json(alg.to_json())
         assert again == alg
+
+
+_MISSING = object()
+
+
+def _corrupt(**changes):
+    """C's document with keys replaced, or dropped when set to _MISSING."""
+    doc = json.loads(COMPLEX.to_json())
+    doc.update(changes)
+    return json.dumps({k: v for k, v in doc.items() if v is not _MISSING})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        "[1, 2]",
+        '"H"',
+        _corrupt(name=_MISSING),
+        _corrupt(dim=_MISSING),
+        _corrupt(structure=_MISSING),
+        _corrupt(dim="2"),
+        _corrupt(dim=2.0),
+        _corrupt(name=7),
+        _corrupt(structure=["1", "0", "0", "1", "0", "1", "-1", "1/0"]),
+        _corrupt(structure=["1", "0", "0", "1", "0", "1", "-1", "x"]),
+        _corrupt(structure=["1", "0", "0", "1", "0", "1", "-1", None]),
+        _corrupt(structure=5),
+        _corrupt(structure=["1", "0", "0", "1"]),
+        _corrupt(conj_signs=["+", "-"]),
+    ],
+)
+def test_from_json_rejects_malformed_documents(text):
+    with pytest.raises(ParseError):
+        AlgebraSpec.from_json(text)

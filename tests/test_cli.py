@@ -41,6 +41,16 @@ def test_algebra_check_rejects_corrupted_file(tmp_path, capsys):
     assert "ValueError" in err
 
 
+@pytest.mark.parametrize("text", ["{}", "[1, 2]"])
+def test_algebra_check_rejects_malformed_document(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run(capsys, "algebra", "check", "--file", str(bad))
+    assert code == 1
+    assert err.startswith("ParseError: ")
+    assert "Traceback" not in err
+
+
 def test_map_convert_identity(capsys):
     code, out, _ = run(
         capsys, "map", "convert", "--dir", "coord2std", "--alg", "H",

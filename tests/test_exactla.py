@@ -1,9 +1,16 @@
-"""Exact rational elimination: rank, determinant, solve, nullspace."""
+"""Exact rational elimination: rank, determinant, solve, nullspace.
+
+The single fraction-free routine behind rref, rank and det is checked against
+the two eliminations it replaced, kept here as references: Gauss-Jordan on
+Fractions for rref, and Bareiss below the pivot for rank and det.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdr import exactla
 from ncdr.errors import Singular
@@ -106,3 +113,132 @@ def test_min_norm_is_orthogonal_to_kernel():
         assert exactla.mat_vec(M, x) == b
         for v in exactla.nullspace(M):
             assert sum(a * c for a, c in zip(x, v)) == 0
+
+
+def reference_rref(M):
+    R = [row[:] for row in M]
+    rows = len(R)
+    cols = len(R[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if R[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        R[r], R[pivot_row] = R[pivot_row], R[r]
+        inv = Fraction(1) / R[r][c]
+        R[r] = [v * inv for v in R[r]]
+        for i in range(rows):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return R, pivots
+
+
+def reference_rank(M):
+    if not M or not M[0]:
+        return 0
+    A, _ = exactla._integerize_rows(M)
+    rows, cols = len(A), len(A[0])
+    r = 0
+    prev = 1
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        A[r], A[pivot_row] = A[pivot_row], A[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                A[i][j] = (A[i][j] * A[r][c] - A[i][c] * A[r][j]) // prev
+            A[i][c] = 0
+        prev = A[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def reference_det(M):
+    n = len(M)
+    if n == 0:
+        return Fraction(1)
+    A, factors = exactla._integerize_rows(M)
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        pivot_row = next((i for i in range(c, n) if A[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            A[c], A[pivot_row] = A[pivot_row], A[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            for j in range(c + 1, n):
+                A[i][j] = (A[i][j] * A[c][c] - A[i][c] * A[c][j]) // prev
+            A[i][c] = 0
+        prev = A[c][c]
+    value = Fraction(sign * A[n - 1][n - 1])
+    for f in factors:
+        value /= f
+    return value
+
+
+entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Rational matrices up to 6 x 8: full, rank-deficient, with zero lines."""
+    rows = draw(st.integers(1, 6))
+    cols = rows if square else draw(st.integers(1, 8))
+
+    def block(r, c):
+        flat = draw(st.lists(entries, min_size=r * c, max_size=r * c))
+        return [flat[i * c : (i + 1) * c] for i in range(r)]
+
+    kind = draw(st.sampled_from(["full", "deficient", "zero-lines"]))
+    if kind == "deficient":
+        inner = draw(st.integers(0, min(rows, cols) - 1))
+        M = exactla.mat_mul(block(rows, inner), block(inner, cols)) if inner else [
+            [Fraction(0)] * cols for _ in range(rows)
+        ]
+    else:
+        M = block(rows, cols)
+    if kind == "zero-lines":
+        for i in draw(st.sets(st.integers(0, rows - 1))):
+            M[i] = [Fraction(0)] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1))):
+            for row in M:
+                row[j] = Fraction(0)
+    return M
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_and_rank_match_references(M):
+    copy = [row[:] for row in M]
+    R, pivots = exactla.rref(M)
+    assert (R, pivots) == reference_rref(M)
+    assert all(type(v) is Fraction for row in R for v in row)
+    assert exactla.rank(M) == reference_rank(M) == len(pivots)
+    assert M == copy
+
+
+@given(matrices(square=True))
+@settings(max_examples=300, deadline=None)
+def test_det_matches_reference(M):
+    assert exactla.det(M) == reference_det(M)
+
+
+def test_empty_and_tall_shapes():
+    assert exactla.det([]) == 1
+    assert exactla.rank([]) == 0
+    assert exactla.rank([[]]) == 0
+    assert exactla.rref([]) == ([], [])
+    tall = frac_matrix([[0, 2], [0, 4], [3, 1], [6, 2]])
+    assert exactla.rref(tall) == reference_rref(tall)
+    assert exactla.rank(tall) == 2

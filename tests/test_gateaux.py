@@ -11,7 +11,6 @@ from ncdr.algebra import (
     COMPLEX,
     QUATERNIONS,
     conj,
-    embed_matrix,
     inverse,
     mul,
     norm_float,
@@ -38,7 +37,7 @@ from ncdr.gateaux import (
     verify_chain_rule,
     verify_product_rule,
 )
-from ncdr.linmap import StdComponents
+from ncdr.linmap import StdComponents, embed_matrix
 
 H = QUATERNIONS
 ONE, I, J, K = (H.basis(n) for n in range(4))
@@ -167,7 +166,7 @@ def test_jacobian_identity_and_left_multiplication():
     a = random_element(rng)
     f = MapEvaluator.unary(H, lambda x: mul(a, x))
     jac = jacobian(f, random_element(rng))
-    want = np.array([[float(v) for v in row] for row in embed_matrix(a).rows])
+    want = np.array([[float(v) for v in row] for row in embed_matrix(a).mat])
     assert np.max(np.abs(jac - want)) <= 1e-10
 
 

@@ -7,16 +7,15 @@ import pytest
 
 from ncdr import closed_forms, exactla
 from ncdr.algebra import COMPLEX, QUATERNIONS, mul
-from ncdr.errors import DegreeTooLarge, NotRepresentable, Singular
+from ncdr.dspace import ComponentMap, DVector, apply_component_map, component_sum_to_std
+from ncdr.errors import DegreeTooLarge, DimensionMismatch, NotRepresentable, Singular
 from ncdr.linmap import (
-    ComponentSum,
     CoordMatrix,
     PolyCoords,
     StdComponents,
     big_c,
     change_basis,
     check_symmetry,
-    component_sum_to_std,
     compose_std,
     coord_to_std,
     eval_std,
@@ -42,6 +41,11 @@ def random_std(rng, alg=H):
 
 def random_element(rng, alg=H):
     return alg.element([random_fraction(rng) for _ in range(alg.dim)])
+
+
+def component_sum(*terms):
+    """The 1 x 1 component map x -> sum u x v over (u, v) in terms."""
+    return ComponentMap(H, (((*terms,),),))
 
 
 def test_std_to_coord_identity():
@@ -119,18 +123,22 @@ def test_zero_map_kernel_members_evaluate_to_zero():
 
 
 def test_component_sum_to_std():
-    assert component_sum_to_std(ComponentSum(H, ((ONE, ONE),))) == StdComponents.identity(H)
-    f = component_sum_to_std(ComponentSum(H, ((I, J),)))
+    assert component_sum_to_std(component_sum((ONE, ONE))) == StdComponents.identity(H)
+    f = component_sum_to_std(component_sum((I, J)))
     expected = [[0] * 4 for _ in range(4)]
     expected[1][2] = 1
     assert f == StdComponents.from_rows(H, expected)
     rng = random.Random(9)
     a, b = random_element(rng), random_element(rng)
-    g = component_sum_to_std(ComponentSum(H, ((a, ONE), (ONE, b))))
+    g = component_sum_to_std(component_sum((a, ONE), (ONE, b)))
     for i in range(4):
         for j in range(4):
             want = a.coords[i] * (j == 0) + (i == 0) * b.coords[j]
             assert g.comps[i][j] == want
+    for rows, cols in ((0, 0), (1, 2), (2, 1), (2, 2)):
+        M = ComponentMap.from_lists(H, [[[(ONE, ONE)]] * cols] * rows)
+        with pytest.raises(DimensionMismatch):
+            component_sum_to_std(M)
 
 
 def test_eval_std():
@@ -149,10 +157,10 @@ def test_eval_std():
 def test_extensional_equality_via_component_sum():
     rng = random.Random(17)
     terms = tuple((random_element(rng), random_element(rng)) for _ in range(3))
-    cs = ComponentSum(H, terms)
+    cs = component_sum(*terms)
     f = component_sum_to_std(cs)
     for b in range(4):
-        assert eval_std(f, H.basis(b)) == cs(H.basis(b))
+        assert eval_std(f, H.basis(b)) == apply_component_map(cs, DVector((H.basis(b),)))[0]
 
 
 def test_compose_std_examples():
@@ -245,7 +253,7 @@ def test_kernel_rank():
     info = kernel_rank(CoordMatrix.identity(H))
     assert info.rank == 4 and not info.is_singular
     # f(x) = x + i x i kills 1: convert through the component-sum route.
-    f = component_sum_to_std(ComponentSum(H, ((ONE, ONE), (I, I))))
+    f = component_sum_to_std(component_sum((ONE, ONE), (I, I)))
     info = kernel_rank(std_to_coord(f))
     assert info.is_singular
     assert eval_std(f, info.kernel_vector).is_zero()
