@@ -9,9 +9,17 @@ Products run on one of two scalar kernels, picked by the operands' types:
 when either operand holds a float coordinate, `mul` converts both coordinate
 tuples to float once and accumulates float products over a float copy of the
 structure tensor, so the result holds only floats; otherwise it multiplies
-exactly in fractions.Fraction.  The float kernel rounds each term as
-float(a) * float(b) * float(c), exactly as mixed Fraction/float arithmetic
-would, so the numeric differentiation paths see the same values either way.
+exactly.  The float kernel rounds each term as float(a) * float(b) *
+float(c), exactly as mixed Fraction/float arithmetic would, so the numeric
+differentiation paths see the same values either way.  The exact kernel
+works on integers: each operand's coordinates become integer numerators over
+the lcm of their denominators, the structure constants integer numerators
+over one denominator cached per algebra, and only the final sum of each
+output coordinate becomes a Fraction, so one gcd normalizes it.
+
+Elements are hashed by their coordinates alone, and the hash is cached on
+the element: the canonical forms of `ncpoly` key dictionaries by words of
+constant elements, and an uncached Fraction hash costs a modular inverse.
 """
 
 from __future__ import annotations
@@ -113,6 +121,13 @@ class AlgebraSpec:
         # The same sparse tensor with float constants, for the float kernel.
         return tuple((k, l, p, float(c)) for k, l, p, c in self._nonzero_triples)
 
+    @cached_property
+    def _int_triples(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        # The same sparse tensor as integer numerators over one common
+        # denominator, for the exact kernel: (denominator, triples).
+        den = math.lcm(*(c.denominator for *_, c in self._nonzero_triples))
+        return den, tuple((k, l, p, int(c * den)) for k, l, p, c in self._nonzero_triples)
+
     # -- element factories ------------------------------------------------
 
     def element(self, coords: Sequence[ScalarLike]) -> "Element":
@@ -188,6 +203,16 @@ class Element:
     alg: AlgebraSpec
     coords: tuple[ScalarLike, ...]
 
+    def __hash__(self) -> int:
+        # Cached, since a Fraction's hash costs a modular inverse.  Taken from
+        # the coordinates alone: Fraction, int and float hashes are the same
+        # in every process, so a pickled or copied element keeps a valid one.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash(self.coords)
+            return h
+
     def _check_same(self, other: "Element") -> None:
         if self.alg is not other.alg and self.alg != other.alg:
             raise AlgebraMismatch(
@@ -249,8 +274,10 @@ class Element:
 def mul(x: Element, y: Element) -> Element:
     """Product via structure constants: (xy)^p = sum x^k y^l C[k][l][p].
 
-    A float coordinate in either operand selects the float kernel; exact
-    operands keep exact arithmetic throughout.
+    A float coordinate in either operand selects the float kernel.  Exact
+    operands are scaled to integer numerators over one denominator each and
+    multiplied over the integer structure triples; each output coordinate is
+    one Fraction of the integer sum over the product of the denominators.
     """
     x._check_same(y)
     xc, yc = x.coords, y.coords
@@ -264,13 +291,23 @@ def mul(x: Element, y: Element) -> Element:
             if a and b:
                 acc[p] += a * b * c
         return Element(x.alg, tuple(acc))
-    out = [Fraction(0)] * x.alg.dim
-    for k, l, p, c in x.alg._nonzero_triples:
-        a = xc[k]
-        b = yc[l]
+    xn, dx = _numerators(xc)
+    yn, dy = _numerators(yc)
+    den, triples = x.alg._int_triples
+    acc = [0] * x.alg.dim
+    for k, l, p, c in triples:
+        a = xn[k]
+        b = yn[l]
         if a and b:
-            out[p] = out[p] + a * b * c
-    return Element(x.alg, tuple(out))
+            acc[p] += a * b * c
+    den *= dx * dy
+    return Element(x.alg, tuple([Fraction(v, den) for v in acc]))
+
+
+def _numerators(coords: tuple[ScalarLike, ...]) -> tuple[list[int], int]:
+    """Exact coordinates as integer numerators over the lcm of their denominators."""
+    d = math.lcm(*[c.denominator for c in coords])
+    return [c.numerator * (d // c.denominator) for c in coords], d
 
 
 def conj(x: Element) -> Element:

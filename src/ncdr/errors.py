@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all ncdr modules."""
 
+from __future__ import annotations
+
 
 class NcdrError(Exception):
     """Base class for domain errors (CLI maps these to exit code 1)."""
@@ -34,7 +36,15 @@ class NotQuaternionBlock(NcdrError):
 
 
 class NotRepresentable(NcdrError):
-    """Coordinate matrix has no standard-component representation."""
+    """Coordinate matrix has no standard-component representation.
+
+    residual is the least-squares residual where a numeric solve decided it,
+    None where the exact solve found the system inconsistent.
+    """
+
+    def __init__(self, message: str, *, residual: float | None = None) -> None:
+        super().__init__(message)
+        self.residual = residual
 
 
 class DegreeTooLarge(NcdrError):
@@ -42,7 +52,25 @@ class DegreeTooLarge(NcdrError):
 
 
 class NonConvergent(NcdrError):
-    """Numeric derivative extrapolation did not settle within tolerance."""
+    """Numeric derivative extrapolation did not settle within tolerance.
+
+    error is the disagreement that failed the check and scale the magnitude
+    it was judged against; step is the base difference step, where the
+    failing check ran on one.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        error: float | None = None,
+        scale: float | None = None,
+        step: float | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.error = error
+        self.scale = scale
+        self.step = step
 
 
 class ZeroDirection(NcdrError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import Singular
 
@@ -110,21 +111,24 @@ def det(M: Matrix) -> Fraction:
     return value
 
 
-def nullspace(M: Matrix) -> list[Vector]:
-    """Basis of the kernel, one vector per free column."""
-    if not M:
-        return []
-    R, pivots = rref(M)
-    cols = len(M[0])
-    free = [c for c in range(cols) if c not in pivots]
+def _kernel(R: Matrix, pivots: list[int], cols: int) -> list[Vector]:
+    """Kernel basis read off a reduced row echelon form, one vector per free column."""
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for row, pc in enumerate(pivots):
             v[pc] = -R[row][fc]
         basis.append(v)
     return basis
+
+
+def nullspace(M: Matrix) -> list[Vector]:
+    """Basis of the kernel, one vector per free column."""
+    if not M:
+        return []
+    R, pivots = rref(M)
+    return _kernel(R, pivots, len(M[0]))
 
 
 def solve(M: Matrix, b: Vector) -> Vector | None:
@@ -148,6 +152,36 @@ def inverse(M: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise Singular("matrix has no inverse over the rationals")
     return [row[n:] for row in R]
+
+
+class SquareElimination(NamedTuple):
+    rank: int
+    det: Fraction
+    inverse: Matrix | None  # None when rank deficient
+    kernel: list[Vector]  # empty when invertible
+
+
+def eliminate_square(M: Matrix) -> SquareElimination:
+    """Rank, determinant, and the inverse or a kernel basis of square M.
+
+    One fraction-free elimination of [M | I] serves all of them: the pivots
+    in M's columns give the rank and, with the row scales, the determinant.
+    At full rank the right half is the inverse; otherwise the left half is
+    M's reduced row echelon form, which the kernel is read from.
+    """
+    n = len(M)
+    assert all(len(row) == n for row in M)
+    aug = [row[:] + ident_row for row, ident_row in zip(M, identity(n))]
+    A, factors = _integerize_rows(aug)
+    _, pivots, sign, d = _fraction_free(A)
+    left = [c for c in pivots if c < n]
+    if len(left) < n:
+        R = [[Fraction(v, d) for v in row[:n]] for row in A]
+        return SquareElimination(len(left), Fraction(0), None, _kernel(R, left, n))
+    value = Fraction(sign * d)
+    for f in factors:
+        value /= f
+    return SquareElimination(n, value, [[Fraction(v, d) for v in row[n:]] for row in A], [])
 
 
 def min_norm_solution(M: Matrix, b: Vector) -> Vector | None:

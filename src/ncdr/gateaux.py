@@ -160,7 +160,12 @@ def _directional(
     value, err = _richardson(sample, cfg)
     scale = max(1.0, float(np.max(np.abs(value))))
     if err > cfg.rel_tol * scale:
-        raise NonConvergent(f"extrapolants disagree by {err:.3e} (scale {scale:.3e})")
+        raise NonConvergent(
+            f"extrapolants disagree by {err:.3e} (scale {scale:.3e})",
+            error=err,
+            scale=scale,
+            step=cfg.base_step,
+        )
     return value, err
 
 
@@ -239,7 +244,12 @@ def second_gateaux(
     value, err = _richardson(sample, outer_cfg)
     scale = max(1.0, float(np.max(np.abs(value))))
     if err > outer_cfg.rel_tol * scale:
-        raise NonConvergent(f"second-order extrapolants disagree by {err:.3e}")
+        raise NonConvergent(
+            f"second-order extrapolants disagree by {err:.3e}",
+            error=err,
+            scale=scale,
+            step=outer_cfg.base_step,
+        )
     return _wrap(f, _unflatten(f.codomain[0], f.codomain[1], value))
 
 
@@ -297,7 +307,8 @@ def differential_std_components(
     residual = float(np.max(np.abs(A @ sol - b)))
     if residual > cfg.lstsq_residual_tol:
         raise NotRepresentable(
-            f"Jacobian is {residual:.3e} away from the representable subspace"
+            f"Jacobian is {residual:.3e} away from the representable subspace",
+            residual=residual,
         )
     comps = tuple(tuple(float(sol[k * n + r]) for r in range(n)) for k in range(n))
     return StdSolution(StdComponents(alg, comps), unique=B.rank == n * n)
@@ -341,6 +352,8 @@ def differential_norm(f: MapEvaluator, x: Element, cfg: DiffConfig = DEFAULT_CON
     sampled = float(np.max(np.linalg.norm(dirs @ jac.T, axis=1)))
     if sampled > sigma + 1e-6:
         raise NonConvergent(
-            f"sampled direction norm {sampled:.9f} exceeds singular value {sigma:.9f}"
+            f"sampled direction norm {sampled:.9f} exceeds singular value {sigma:.9f}",
+            error=sampled - sigma,
+            scale=sigma,
         )
     return sigma

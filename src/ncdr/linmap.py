@@ -172,24 +172,17 @@ def big_c(alg: AlgebraSpec) -> BigC:
                     mat[j * n + i][k * n + r] = sum(
                         (C[k][i][p] * C[p][r][j] for p in range(n)), Fraction(0)
                     )
-    rank = exactla.rank(mat)
-    determinant = exactla.det(mat)
-    if rank == size:
-        inv = tuple(tuple(row) for row in exactla.inverse(mat))
-        kernel: tuple[Grid, ...] = ()
-    else:
-        inv = None
-        kernel = tuple(
-            tuple(tuple(v[k * n + r] for r in range(n)) for k in range(n))
-            for v in exactla.nullspace(mat)
-        )
+    elim = exactla.eliminate_square(mat)
     return BigC(
         alg=alg,
         mat=tuple(tuple(row) for row in mat),
-        rank=rank,
-        det=determinant,
-        zero_map_kernel=kernel,
-        inv=inv,
+        rank=elim.rank,
+        det=elim.det,
+        zero_map_kernel=tuple(
+            tuple(tuple(v[k * n + r] for r in range(n)) for k in range(n))
+            for v in elim.kernel
+        ),
+        inv=None if elim.inverse is None else tuple(tuple(row) for row in elim.inverse),
     )
 
 

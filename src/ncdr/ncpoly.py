@@ -6,10 +6,24 @@ order-m derivative replaces m of the x-slots by fresh symbols h_1..h_m in all
 ordered ways, which keeps the structural identities (vanishing above the
 degree, n! on the diagonal, permutation symmetry) exact by construction.
 
+Taylor terms need only the diagonal of those derivatives, where the
+polarization holds each choice of k slots k! times.  taylor_poly therefore
+builds term k directly from the k-subsets of the x-slots: C(n, k) words for a
+degree-n monomial, not n!/(n-k)!.  The subsets are walked as a tree of
+slot fillings, so fillings that share a prefix share its constant products.
+WordPoly.substitute expands the same way; TaylorExpansion.reconstruct and the
+ODE solver substitute h = x - y0 into all their terms at once, so their words
+merge once.
+
 Formal words mixing constants and variables live in WordPoly.  Their formal
 canonical form (fused constants, folded central scalars, sorted terms) is a
 fast pre-check only; equality of word polynomials is extensional, decided by
-evaluating on every basis binding of the symbol alphabet.
+evaluating on every basis binding of the symbol alphabet.  Constants are
+fused once, as a word is built or filled in.  rename, derivative and scaling
+by a rational change variable names or scalars of words that are already
+canonical, so they merge equal words and sort without a second fusion pass.
+sym_derivative and taylor_poly raise DegreeTooLarge beyond
+MAX_DERIVATIVE_WORDS and MAX_TAYLOR_WORDS.
 """
 
 from __future__ import annotations
@@ -18,20 +32,38 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import AlgebraSpec, Element, mul
 from .errors import AlgebraMismatch, DegreeTooLarge, UnboundSymbol
+
+# Size guards, in words built.  Each limit admits about a second of work in
+# H: a generic degree-7 monomial differentiated to order 7 builds 5,040
+# words, and a degree-12 monomial's Taylor terms hold 4,096.
+#: Most words sym_derivative builds: the sum over monomials of n!/(n-k)!.
+MAX_DERIVATIVE_WORDS = 20_000
+#: Most words taylor_poly builds over all its terms: the sum of 2^n.
+MAX_TAYLOR_WORDS = 2**12
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
 
+    @cached_property
+    def _key(self) -> tuple:
+        # Sort key in canonical words, cached since words are sorted often.
+        return (0, self.name)
+
 
 @dataclass(frozen=True)
 class Const:
     value: Element
+
+    @cached_property
+    def _key(self) -> tuple:
+        return (1, self.value.coords)
 
 
 Factor = Union[Var, Const]
@@ -43,56 +75,92 @@ def _is_central_scalar(e: Element) -> bool:
     return isinstance(e.coords[0], (int, Fraction)) and not any(e.coords[1:])
 
 
-def _factor_key(f: Factor):
+def _append(out: Word, scale: Fraction, f: Factor) -> tuple[Word, Fraction] | None:
+    """One step of the canonical fusion: f appended to the canonical prefix out.
+
+    Central scalars fold into scale, a constant fuses with a constant before
+    it, and None means the word vanished.
+    """
     if isinstance(f, Var):
-        return (0, f.name)
-    return (1, tuple(f.value.coords))
+        return out + (f,), scale
+    v = f.value
+    central = _is_central_scalar(v)
+    if not central and out and isinstance(out[-1], Const):
+        v = mul(out[-1].value, v)
+        out = out[:-1]
+        central = _is_central_scalar(v)
+    if central:
+        scale = scale * v.coords[0]
+        return (out, scale) if scale else None
+    if v.is_zero():
+        return None
+    return out + (Const(v),), scale
+
+
+def _collect(raw: Iterable[Term]) -> tuple[Term, ...]:
+    """Merge equal words and sort; every word must already be canonical."""
+    collected: dict[Word, Fraction] = {}
+    for coeff, word in raw:
+        # setdefault hashes the word once where it is new.
+        size = len(collected)
+        prev = collected.setdefault(word, coeff)
+        if len(collected) == size:
+            collected[word] = prev + coeff
+    terms = [(c, w) for w, c in collected.items() if c]
+    terms.sort(key=lambda t: tuple(f._key for f in t[1]))
+    return tuple(terms)
+
+
+def _extend(
+    state: tuple[Word, Fraction], word: Iterable[Factor]
+) -> tuple[Word, Fraction] | None:
+    """The canonical fusion of state's prefix followed by word; None if it vanished."""
+    for f in word:
+        state = _append(*state, f)
+        if state is None:
+            return None
+    return state
 
 
 def _canonical(alg: AlgebraSpec, raw: Iterable[Term]) -> tuple[Term, ...]:
-    collected: dict[Word, Fraction] = {}
+    fused: list[Term] = []
     for coeff, word in raw:
         if not coeff:
             continue
-        out: list[Factor] = []
-        scale = Fraction(coeff)
-        dead = False
-        for f in word:
-            if isinstance(f, Const):
-                v = f.value
-                if _is_central_scalar(v):
-                    scale *= Fraction(v.coords[0])
-                    if not scale:
-                        dead = True
-                        break
-                    continue
-                if v.is_zero():
-                    dead = True
-                    break
-                if out and isinstance(out[-1], Const):
-                    fused = mul(out[-1].value, v)
-                    out.pop()
-                    if _is_central_scalar(fused):
-                        scale *= Fraction(fused.coords[0])
-                        if not scale:
-                            dead = True
-                            break
-                        continue
-                    if fused.is_zero():
-                        dead = True
-                        break
-                    out.append(Const(fused))
-                    continue
-                out.append(Const(v))
-            else:
-                out.append(f)
-        if dead or not scale:
+        state = _extend(((), Fraction(coeff)), word)
+        if state is not None:
+            out, scale = state
+            fused.append((scale, out or (Const(alg.one),)))
+    return _collect(fused)
+
+
+def _fill_slots(
+    alg: AlgebraSpec, coeff: Fraction, segments: Sequence[Word], fills: Sequence[Term]
+) -> list[list[Term]]:
+    """Canonical terms of coeff g_0 s_1 g_1 ... s_n g_n over every filling.
+
+    segments are the words g_0..g_n; each slot s_i takes in turn each term
+    (c, w) of fills, which multiplies the coefficient by c.  Result m lists
+    the fillings in which exactly m slots took fills[0].  Fillings that share
+    a prefix share its fusion, so a word with n slots and two fills costs
+    about 2^(n+1) constant products instead of n 2^n.
+    """
+    n = len(segments) - 1
+    out: list[list[Term]] = [[] for _ in range(n + 1)]
+    first = _extend(((), coeff), segments[0])
+    stack = [(0, 0, first)] if first is not None else []
+    while stack:
+        i, m, (word, scale) = stack.pop()
+        if i == n:
+            out[m].append((scale, word or (Const(alg.one),)))
             continue
-        key = tuple(out) if out else (Const(alg.one),)
-        collected[key] = collected.get(key, Fraction(0)) + scale
-    terms = [(c, w) for w, c in collected.items() if c]
-    terms.sort(key=lambda t: tuple(_factor_key(f) for f in t[1]))
-    return tuple(terms)
+        for j, (c, w) in enumerate(fills):
+            state = _extend((word, scale * c), w)
+            if state is not None:
+                state = _extend(state, segments[i + 1])
+            if state is not None:
+                stack.append((i + 1, m + (j == 0), state))
+    return out
 
 
 @dataclass(frozen=True)
@@ -147,8 +215,11 @@ class WordPoly:
             ]
             return WordPoly.build(self.alg, raw)
         if isinstance(other, (int, Fraction)):
+            # Scaling keeps the words canonical, distinct and in order.
             q = Fraction(other)
-            return WordPoly(self.alg, _canonical(self.alg, ((q * c, w) for c, w in self.terms)))
+            if not q:
+                return WordPoly.zero(self.alg)
+            return WordPoly(self.alg, tuple((q * c, w) for c, w in self.terms))
         return NotImplemented
 
     def __rmul__(self, other: object) -> "WordPoly":
@@ -157,56 +228,49 @@ class WordPoly:
         return NotImplemented
 
     def rename(self, mapping: Mapping[str, str]) -> "WordPoly":
+        # Renaming leaves every word canonical, so equal words only need
+        # merging, not the constant fusion of build.
+        new = {old: Var(name) for old, name in mapping.items()}
         raw = [
-            (
-                c,
-                tuple(
-                    Var(mapping.get(f.name, f.name)) if isinstance(f, Var) else f
-                    for f in w
-                ),
-            )
+            (c, tuple(new.get(f.name, f) if isinstance(f, Var) else f for f in w))
             for c, w in self.terms
         ]
-        return WordPoly.build(self.alg, raw)
+        return WordPoly(self.alg, _collect(raw))
 
     def substitute(self, name: str, replacement: "WordPoly") -> "WordPoly":
-        """Replace every occurrence of the variable and expand products."""
+        """Replace every occurrence of the variable and expand products.
+
+        The expansions of one word share the fusion of their common prefixes.
+        """
         raw: list[Term] = []
         for coeff, word in self.terms:
-            slots = [
-                pos
-                for pos, f in enumerate(word)
-                if isinstance(f, Var) and f.name == name
-            ]
-            if not slots:
-                raw.append((coeff, word))
-                continue
-            for choice in itertools.product(replacement.terms, repeat=len(slots)):
-                c = coeff
-                spliced: list[Factor] = []
-                prev = 0
-                for pos, (rc, rw) in zip(slots, choice):
-                    spliced.extend(word[prev:pos])
-                    spliced.extend(rw)
-                    c = c * rc
-                    prev = pos + 1
-                spliced.extend(word[prev:])
-                raw.append((c, tuple(spliced)))
-        return WordPoly.build(self.alg, raw)
+            segments: list[list[Factor]] = [[]]
+            for f in word:
+                if isinstance(f, Var) and f.name == name:
+                    segments.append([])
+                else:
+                    segments[-1].append(f)
+            for terms in _fill_slots(self.alg, coeff, segments, replacement.terms):
+                raw += terms
+        # The fillings come out fused, so they only need merging.
+        return WordPoly(self.alg, _collect(raw))
 
     def substitute_element(self, name: str, value: Element) -> "WordPoly":
         return self.substitute(name, WordPoly.constant(value))
 
     def derivative(self, name: str, new_symbol: str) -> "WordPoly":
-        """Directional derivative in the variable: one slot replaced per term."""
+        """Directional derivative in the variable: one slot replaced per term.
+
+        A variable replaced by a variable leaves the words canonical, so the
+        result is merged without the constant fusion of build.
+        """
+        new = (Var(new_symbol),)
         raw: list[Term] = []
         for coeff, word in self.terms:
             for pos, f in enumerate(word):
                 if isinstance(f, Var) and f.name == name:
-                    raw.append(
-                        (coeff, word[:pos] + (Var(new_symbol),) + word[pos + 1 :])
-                    )
-        return WordPoly.build(self.alg, raw)
+                    raw.append((coeff, word[:pos] + new + word[pos + 1 :]))
+        return WordPoly(self.alg, _collect(raw))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -407,6 +471,12 @@ def sym_derivative(p: NCPoly, order: int, var: str = "x") -> WordPoly:
     """
     if order < 1:
         raise ValueError("derivative order must be at least 1")
+    words = sum(math.perm(m.degree, order) for m in p.monomials)
+    if words > MAX_DERIVATIVE_WORDS:
+        raise DegreeTooLarge(
+            f"order-{order} derivative would build {words} words "
+            f"(limit {MAX_DERIVATIVE_WORDS})"
+        )
     w = p.to_words(var)
     for q in range(1, order + 1):
         w = w.derivative(var, f"h{q}")
@@ -426,26 +496,38 @@ class TaylorExpansion:
     terms: tuple[NCPoly, ...]
 
     def reconstruct(self) -> NCPoly:
-        """Substitute h = x - base_point and expand back to a polynomial in x."""
+        """Substitute h = x - base_point and expand back to a polynomial in x.
+
+        All terms are substituted together, so their words merge in one build.
+        """
         alg = self.base_point.alg
         shift = WordPoly.variable(alg, "x") - WordPoly.constant(self.base_point)
-        total = WordPoly.zero(alg)
-        for t in self.terms:
-            total = total + t.to_words("h").substitute("h", shift)
-        return ncpoly_from_words(total, "x")
+        in_h = WordPoly.build(alg, [w for t in self.terms for w in t.to_words("h").terms])
+        return ncpoly_from_words(in_h.substitute("h", shift), "x")
 
 
 def taylor_poly(p: NCPoly, y0: Element) -> TaylorExpansion:
     """Taylor coefficients (k!)^{-1} d^k p(y0) on the diagonal direction.
 
-    The expansion terminates at deg p: the next derivative of a degree-n
-    monomial vanishes identically.
+    On the diagonal, the order-k polarization of a_0 x a_1 ... x a_n holds
+    each k-subset of the n x-slots k! times, so term k is the sum over the
+    C(n, k) subsets of the word with h in the chosen slots and y0 in the
+    others.  The expansion terminates at deg p: a degree-n monomial has no
+    subset of more than n slots.  DegreeTooLarge when the terms would hold
+    more than MAX_TAYLOR_WORDS words in all, counted as the sum of 2^n.
     """
     alg = p.alg
+    words = sum(2**m.degree for m in p.monomials)
+    if words > MAX_TAYLOR_WORDS:
+        raise DegreeTooLarge(
+            f"Taylor expansion would build {words} words (limit {MAX_TAYLOR_WORDS})"
+        )
+    by_order: list[list[Term]] = [[] for _ in range(max(p.degree, 0) + 1)]
+    fills = ((Fraction(1), (Var("h"),)), (Fraction(1), (Const(y0),)))
+    for m in p.monomials:
+        segments = [(Const(c),) for c in m.coefficients]
+        for k, terms in enumerate(_fill_slots(alg, Fraction(1), segments, fills)):
+            by_order[k] += terms
     terms = [NCPoly.constant(eval_poly(p, y0))]
-    for k in range(1, max(p.degree, 0) + 1):
-        dk = sym_derivative(p, k)
-        dk_at = diagonal(dk, k).substitute_element("x", y0)
-        coeff = Fraction(1, math.factorial(k))
-        terms.append(ncpoly_from_words(coeff * dk_at, "h"))
+    terms += [ncpoly_from_words(WordPoly.build(alg, raw), "h") for raw in by_order[1:]]
     return TaylorExpansion(base_point=y0, terms=tuple(terms))

@@ -20,6 +20,8 @@ from .ncpoly import NCPoly, WordPoly, ncpoly_from_words
 _NUMBER = r"\d+/\d+|\d+\.\d+|\d+"
 _TERM_RE = re.compile(rf"([+-]?)({_NUMBER})?([ijk])?")
 _UNIT_INDEX = {"i": 1, "j": 2, "k": 3}
+#: Largest exponent the polynomial syntax accepts after ^.
+MAX_EXPONENT = 32
 
 
 def parse_rational(text: str) -> Fraction:
@@ -142,6 +144,8 @@ class _PolyParser:
             kind, text = self.tokens.pop()
             if kind != "num" or not text.isdigit():
                 raise ParseError("exponent must be a nonnegative integer")
+            if int(text) > MAX_EXPONENT:
+                raise ParseError(f"exponent {text} exceeds the limit {MAX_EXPONENT}")
             return _wp_pow(value, int(text))
         return value
 

@@ -93,13 +93,14 @@ def solve_ode_taylor(
         raise OrderExceeded(f"no termination within {max_order} orders")
 
     diagonals = []
-    assembled = WordPoly.constant(y0)
-    shift = WordPoly.variable(alg, "x") - WordPoly.constant(x0)
+    in_h = []
     for k, dk in enumerate(derivatives, start=1):
         diag_k = diagonal(dk, k).substitute_element("x", x0)
         diagonals.append(diag_k)
-        term = Fraction(1, math.factorial(k)) * diag_k
-        assembled = assembled + term.substitute("h", shift)
+        in_h += (Fraction(1, math.factorial(k)) * diag_k).terms
+    # All orders are substituted together, so their words merge in one build.
+    shift = WordPoly.variable(alg, "x") - WordPoly.constant(x0)
+    assembled = WordPoly.build(alg, in_h).substitute("h", shift) + WordPoly.constant(y0)
     solution = ncpoly_from_words(assembled, "x")
 
     recovered = sym_derivative(solution, 1).rename({"h1": "h"})

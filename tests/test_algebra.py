@@ -1,7 +1,12 @@
 """Algebra kernel: multiplication tables, conjugation, norm, embedding."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +17,7 @@ from ncdr.algebra import (
     COMPLEX,
     QUATERNIONS,
     AlgebraSpec,
+    Element,
     conj,
     inverse,
     make_quaternion_algebra,
@@ -244,3 +250,59 @@ def _corrupt(**changes):
 def test_from_json_rejects_malformed_documents(text):
     with pytest.raises(ParseError):
         AlgebraSpec.from_json(text)
+
+
+def test_equal_elements_hash_equal():
+    E = make_quaternion_algebra(Fraction(-3, 2), Fraction(5, 7))
+    x = E.element([Fraction(1, 2), 3, 0, Fraction(-2, 3)])
+    built = [
+        Element(E, (Fraction(1, 2), 3, 0, Fraction(-2, 3))),  # ints kept as ints
+        E.element(["1/2", "3", "0", "-2/3"]),
+        mul(x, E.one),
+        mul(E.one, x),
+        (x + x) / 2,
+        x - E.zero,
+        -(-x),
+    ]
+    for y in built:
+        assert y == x
+        assert hash(y) == hash(x)
+    assert len({x, *built}) == 1
+    assert {x: "value"}[built[0]] == "value"
+    assert hash(x) == hash(x)  # cached value agrees with the first
+
+
+def test_hash_survives_pickle_and_copy():
+    x = H.element([Fraction(1, 3), -2, Fraction(7, 5), 0])
+    h = hash(x)
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert y == x
+        assert hash(y) == h
+    # A different process, with its own string hash seed, agrees on the hash
+    # of an unpickled element and of a freshly built equal one.
+    script = (
+        "import pickle, sys\n"
+        "from fractions import Fraction\n"
+        "from ncdr.algebra import QUATERNIONS as H\n"
+        "x = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = H.element([Fraction(1, 3), -2, Fraction(7, 5), 0])\n"
+        "print(hash(x), hash(fresh), x == fresh)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps(x),
+        capture_output=True,
+        check=True,
+        env={"PYTHONHASHSEED": "12345", "PYTHONPATH": ":".join(sys.path)},
+    )
+    assert out.stdout.decode().split() == [str(h), str(h), "True"]
+
+
+def test_elements_stay_frozen():
+    x = H.element([1, 2, 3, 4])
+    hash(x)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.coords = (0, 0, 0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.alg = COMPLEX
+    assert x.coords == (1, 2, 3, 4)

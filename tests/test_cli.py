@@ -211,3 +211,15 @@ def test_exp_domain_errors_exit_cleanly(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("RangeError:")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("poly", "derive", "--poly", "x^9", "--order", "9"), "DegreeTooLarge"),
+    (("poly", "taylor", "--poly", "x^13", "--at", "1"), "DegreeTooLarge"),
+    (("poly", "taylor", "--poly", "x^33", "--at", "1"), "ParseError"),
+])
+def test_size_guards_exit_cleanly(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"{error}:")
+    assert "Traceback" not in err

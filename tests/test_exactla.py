@@ -242,3 +242,23 @@ def test_empty_and_tall_shapes():
     tall = frac_matrix([[0, 2], [0, 4], [3, 1], [6, 2]])
     assert exactla.rref(tall) == reference_rref(tall)
     assert exactla.rank(tall) == 2
+
+
+@given(matrices(square=True))
+@settings(max_examples=300, deadline=None)
+def test_eliminate_square_matches_separate_passes(M):
+    copy = [row[:] for row in M]
+    got = exactla.eliminate_square(M)
+    assert got.rank == exactla.rank(M)
+    assert got.det == exactla.det(M)
+    if got.rank == len(M):
+        assert got.inverse == exactla.inverse(M)
+        assert got.kernel == []
+    else:
+        assert got.inverse is None
+        assert got.kernel == exactla.nullspace(M)
+    assert M == copy
+
+
+def test_eliminate_square_of_empty_matrix():
+    assert exactla.eliminate_square([]) == (0, Fraction(1), [], [])

@@ -17,6 +17,7 @@ from ncdr.algebra import (
 )
 from ncdr.errors import (
     IndexOutOfRange,
+    NonConvergent,
     NotInvertible,
     NotRepresentable,
     ZeroDirection,
@@ -313,3 +314,46 @@ def test_chain_rule_at_large_point_meets_tolerance():
     x = H.element([2, 2, -2, -2])
     a = H.element([Fraction(-1, 2), 1, 1, 1])
     assert verify_chain_rule(maps.cube(H), maps.cube(H), x, a) <= 1e-7
+
+
+def test_nonconvergent_carries_its_numbers():
+    kink = MapEvaluator.unary(
+        H, lambda x: abs(float(x.coords[0]) - 1.0075) * I.to_float()
+    )
+    cfg = DiffConfig()
+    with pytest.raises(NonConvergent) as info:
+        gateaux(kink, ONE, ONE, cfg)
+    exc = info.value
+    assert exc.error > cfg.rel_tol * exc.scale
+    assert exc.scale >= 1.0
+    assert exc.step == cfg.base_step
+    assert str(exc) == f"extrapolants disagree by {exc.error:.3e} (scale {exc.scale:.3e})"
+
+
+def test_second_order_nonconvergent_carries_its_numbers():
+    # Smooth along a1, kinked along a2: the inner derivatives converge and
+    # the outer extrapolation fails.
+    kink = MapEvaluator.unary(
+        H, lambda x: float(x.coords[1]) * abs(float(x.coords[0]) - 1.0075) * I.to_float()
+    )
+    with pytest.raises(NonConvergent) as info:
+        second_gateaux(kink, ONE, I, ONE)
+    exc = info.value
+    assert exc.error > 1e-6 * exc.scale
+    assert exc.step == DiffConfig().base_step
+    assert str(exc) == f"second-order extrapolants disagree by {exc.error:.3e}"
+
+
+def test_not_representable_carries_its_residual():
+    # Entries 1/97 escape the snap to denominators <= 64, so the
+    # least-squares branch decides, and conjugation is not C-linear.
+    f = MapEvaluator.unary(COMPLEX, lambda x: conj(x) * (1.0 / 97))
+    with pytest.raises(NotRepresentable) as info:
+        differential_std_components(f, COMPLEX.one)
+    exc = info.value
+    assert exc.residual == pytest.approx(1 / 97, rel=1e-6)
+    assert str(exc) == f"Jacobian is {exc.residual:.3e} away from the representable subspace"
+    # The snapped branch decides exactly and has no residual to report.
+    with pytest.raises(NotRepresentable) as info:
+        differential_std_components(maps.conjugate(COMPLEX), COMPLEX.one)
+    assert info.value.residual is None

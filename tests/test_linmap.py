@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ncdr import closed_forms, exactla
-from ncdr.algebra import COMPLEX, QUATERNIONS, mul
+from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra, mul
 from ncdr.dspace import ComponentMap, DVector, apply_component_map, component_sum_to_std
 from ncdr.errors import DegreeTooLarge, DimensionMismatch, NotRepresentable, Singular
 from ncdr.linmap import (
@@ -315,3 +315,31 @@ def test_json_round_trip():
     assert StdComponents.from_json(H, f.to_json()) == f
     m = std_to_coord(f)
     assert CoordMatrix.from_json(H, m.to_json()) == m
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        H,
+        COMPLEX,
+        make_quaternion_algebra(Fraction(-3, 2), Fraction(5, 7), name="fresh-1"),
+        make_quaternion_algebra(Fraction(2, 3), Fraction(-7, 5), name="fresh-2"),
+        make_quaternion_algebra(1, 1, name="fresh-split"),
+    ],
+    ids=lambda alg: alg.name,
+)
+def test_big_c_matches_separate_eliminations(alg):
+    # One elimination of [M | I] gives what rank, det and inverse or
+    # nullspace give as separate passes; C is the rank-deficient case.
+    B = big_c(alg)
+    M = [list(row) for row in B.mat]
+    n = alg.dim
+    assert B.rank == exactla.rank(M)
+    assert B.det == exactla.det(M)
+    if B.inv is not None:
+        assert [list(row) for row in B.inv] == exactla.inverse(M)
+        assert B.zero_map_kernel == ()
+    else:
+        flat = [[g[k][r] for k in range(n) for r in range(n)] for g in B.zero_map_kernel]
+        assert flat == exactla.nullspace(M)
+        assert B.rank < n * n

@@ -1,9 +1,10 @@
-"""The float kernel of algebra.mul against the exact kernel's loop.
+"""Both kernels of algebra.mul against the Fraction loop they replaced.
 
 A float coordinate in either operand selects the float kernel.  Its nonzero
 coordinates must be bit-for-bit those of the single mixed Fraction/float
 loop that served both kinds of operand before the kernels were split,
-kept here as the reference.
+kept here as the reference.  Exact operands run the integer kernel, whose
+coordinates must be Fractions equal to the same loop's.
 """
 
 from fractions import Fraction
@@ -90,3 +91,52 @@ def test_exact_operands_stay_exact():
     got = mul(x, y)
     assert all(type(v) is Fraction for v in got.coords)
     assert list(got.coords) == reference_mul(x, y)
+
+
+non_integer = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(
+    lambda v: v.denominator > 1
+)
+exact_algebras = st.one_of(
+    st.just(QUATERNIONS),
+    st.just(COMPLEX),
+    # Non-integer parameters put a denominator into the structure constants.
+    st.builds(make_quaternion_algebra, non_integer, non_integer),
+)
+# Zero, plain ints and Fractions, as Elements built without as_scalar hold.
+exact_coords = st.one_of(
+    st.just(0),
+    st.integers(min_value=-20, max_value=20),
+    st.fractions(min_value=-50, max_value=50, max_denominator=97),
+)
+
+
+@st.composite
+def exact_operands(draw):
+    alg = draw(exact_algebras)
+    x = Element(alg, tuple(draw(exact_coords) for _ in range(alg.dim)))
+    y = Element(alg, tuple(draw(exact_coords) for _ in range(alg.dim)))
+    return x, y
+
+
+@given(exact_operands())
+@settings(max_examples=300, deadline=None)
+def test_exact_kernel_matches_reference(ops):
+    x, y = ops
+    for a, b in ((x, y), (y, x)):
+        got = mul(a, b).coords
+        assert all(type(v) is Fraction for v in got)
+        assert list(got) == reference_mul(a, b)
+
+
+def test_exact_kernel_with_denominators_in_the_structure():
+    E = make_quaternion_algebra(Fraction(-3, 2), Fraction(5, 7))
+    assert E._int_triples[0] == 14
+    x = Element(E, (Fraction(1, 3), 2, 0, Fraction(-5, 7)))
+    y = Element(E, (0, Fraction(1, 2), Fraction(-4, 9), 3))
+    # Noncommutative, so an operand swap inside the kernel shows.
+    assert mul(x, y) != mul(y, x)
+    assert list(mul(x, y).coords) == reference_mul(x, y)
+    assert list(mul(y, x).coords) == reference_mul(y, x)
+    zero = Element(E, (0, 0, 0, 0))
+    assert mul(x, zero).coords == (Fraction(0),) * 4
+    assert all(type(v) is Fraction for v in mul(zero, x).coords)

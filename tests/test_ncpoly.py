@@ -5,12 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdr import maps
-from ncdr.algebra import QUATERNIONS, mul, norm_float
+from ncdr.algebra import QUATERNIONS, make_quaternion_algebra, mul, norm_float
 from ncdr.errors import DegreeTooLarge, UnboundSymbol
 from ncdr.gateaux import gateaux
 from ncdr.ncpoly import (
+    MAX_DERIVATIVE_WORDS,
+    MAX_TAYLOR_WORDS,
     Monomial,
     NCPoly,
     WordPoly,
@@ -268,3 +272,94 @@ def test_ncpoly_arithmetic_is_pointwise():
         assert eval_poly(p + q, x) == eval_poly(p, x) + eval_poly(q, x)
         assert eval_poly(p * q, x) == mul(eval_poly(p, x), eval_poly(q, x))
         assert eval_poly(-p, x) == -eval_poly(p, x)
+
+
+def reference_taylor_terms(p, y0):
+    """Term k as the order-k polarization on the diagonal, over k!.
+
+    The algorithm taylor_poly used before it built terms from k-subsets.
+    """
+    terms = [NCPoly.constant(eval_poly(p, y0))]
+    for k in range(1, max(p.degree, 0) + 1):
+        dk_at = diagonal(sym_derivative(p, k), k).substitute_element("x", y0)
+        terms.append(ncpoly_from_words(Fraction(1, math.factorial(k)) * dk_at, "h"))
+    return terms
+
+
+E = make_quaternion_algebra(Fraction(-3, 2), Fraction(5, 7))
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def taylor_inputs(draw):
+    alg = draw(st.sampled_from([H, E]))
+
+    def element():
+        # Zero, central scalars and general elements all occur.
+        kind = draw(st.sampled_from(["general", "general", "scalar", "zero"]))
+        if kind == "zero":
+            return alg.zero
+        if kind == "scalar":
+            return alg.scalar(draw(small))
+        return alg.element([draw(small) for _ in range(alg.dim)])
+
+    monos = []
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(0, 6))
+        monos.append(Monomial(tuple(element() for _ in range(degree + 1))))
+    y0 = alg.zero if draw(st.booleans()) else element()
+    return NCPoly(alg, tuple(monos)), y0
+
+
+@given(taylor_inputs())
+@settings(max_examples=60, deadline=None)
+def test_taylor_terms_match_polarization(inputs):
+    p, y0 = inputs
+    t = taylor_poly(p, y0)
+    want = reference_taylor_terms(p, y0)
+    assert len(t.terms) == len(want)
+    for got, ref in zip(t.terms, want):
+        assert extensional_equal(got.to_words("h"), ref.to_words("h"))
+    assert extensional_equal(t.reconstruct().to_words(), p.to_words())
+
+
+def test_taylor_of_zero_polynomial():
+    for y0 in (H.zero, H.element([1, -2, 3, Fraction(1, 2)])):
+        t = taylor_poly(NCPoly.zero(H), y0)
+        assert [term.monomials for term in t.terms] == [()]
+        assert t.reconstruct().to_words().is_zero()
+
+
+def test_taylor_term_has_one_monomial_per_subset():
+    # Generic constants keep every subset's word distinct, so term k of a
+    # degree-n monomial holds exactly C(n, k) monomials, each of degree k.
+    rng = random.Random(31)
+    y0 = H.element([Fraction(2, 3), -1, Fraction(5, 4), 3])
+    for degree in range(7):
+        p = random_monomial(rng, degree)
+        t = taylor_poly(p, y0)
+        for k in range(1, degree + 1):
+            assert len(t.terms[k].monomials) == math.comb(degree, k)
+            assert all(m.degree == k for m in t.terms[k].monomials)
+
+
+def test_derivative_size_guard():
+    # x^9 to order 9 would build 9! words; the guard refuses before building.
+    with pytest.raises(DegreeTooLarge):
+        sym_derivative(X**9, 9)
+    assert math.perm(9, 9) > MAX_DERIVATIVE_WORDS
+    assert len(sym_derivative(X**7, 7).terms) == math.factorial(7)
+    two = random_monomial(random.Random(37), 7) + random_monomial(random.Random(41), 7)
+    with pytest.raises(DegreeTooLarge):
+        sym_derivative(two + two + two + two, 7)
+
+
+def test_taylor_size_guard():
+    # The guard counts 2^n words per degree-n monomial and refuses before
+    # building: one monomial of degree `over`, or two of degree over - 1.
+    over = MAX_TAYLOR_WORDS.bit_length()
+    with pytest.raises(DegreeTooLarge):
+        taylor_poly(X**over, H.one)
+    with pytest.raises(DegreeTooLarge):
+        taylor_poly(X ** (over - 1) + X ** (over - 1), H.one)
+    assert len(taylor_poly(X**6, H.one).terms) == 7

@@ -7,7 +7,13 @@ import pytest
 from ncdr.algebra import COMPLEX, QUATERNIONS
 from ncdr.errors import ParseError
 from ncdr.ncpoly import eval_poly, extensional_equal, word_eval
-from ncdr.parsing import parse_element, parse_ncpoly, parse_rational, parse_word_poly
+from ncdr.parsing import (
+    MAX_EXPONENT,
+    parse_element,
+    parse_ncpoly,
+    parse_rational,
+    parse_word_poly,
+)
 
 H = QUATERNIONS
 ONE, I, J, K = (H.basis(n) for n in range(4))
@@ -83,3 +89,12 @@ def test_parse_word_poly_rejects_unknown():
         parse_word_poly(H, "x^(2)")
     with pytest.raises(ParseError):
         parse_word_poly(H, "x +")
+
+
+def test_exponent_limit():
+    w = parse_word_poly(H, f"x^{MAX_EXPONENT}")
+    assert w.var_degree() == MAX_EXPONENT
+    with pytest.raises(ParseError):
+        parse_word_poly(H, f"x^{MAX_EXPONENT + 1}")
+    with pytest.raises(ParseError):
+        parse_ncpoly(H, "(x+1)^1000000000")
