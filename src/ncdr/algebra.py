@@ -38,6 +38,7 @@ from .errors import (
     WrongDimension,
     ZeroParameter,
 )
+from .exactla import numerators
 
 # Exact scalar of the algebraic kernel.  Numeric paths substitute float.
 Scalar = Fraction
@@ -291,8 +292,8 @@ def mul(x: Element, y: Element) -> Element:
             if a and b:
                 acc[p] += a * b * c
         return Element(x.alg, tuple(acc))
-    xn, dx = _numerators(xc)
-    yn, dy = _numerators(yc)
+    xn, dx = numerators(xc)
+    yn, dy = numerators(yc)
     den, triples = x.alg._int_triples
     acc = [0] * x.alg.dim
     for k, l, p, c in triples:
@@ -302,12 +303,6 @@ def mul(x: Element, y: Element) -> Element:
             acc[p] += a * b * c
     den *= dx * dy
     return Element(x.alg, tuple([Fraction(v, den) for v in acc]))
-
-
-def _numerators(coords: tuple[ScalarLike, ...]) -> tuple[list[int], int]:
-    """Exact coordinates as integer numerators over the lcm of their denominators."""
-    d = math.lcm(*[c.denominator for c in coords])
-    return [c.numerator * (d // c.denominator) for c in coords], d
 
 
 def conj(x: Element) -> Element:

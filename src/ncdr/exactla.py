@@ -4,14 +4,17 @@ One elimination routine serves every operation: fraction-free (Bareiss)
 Gauss-Jordan on a copy whose rows are scaled to integers.  Rank is its pivot
 count, the determinant its common pivot value divided by the row scales, and
 the reduced row echelon form that solving, nullspaces and inverses read is
-its integer matrix over that pivot value.  No floating point anywhere.
+its integer matrix over that pivot value.  Products scale each row of the
+left factor and each column of the right one to integer numerators over the
+lcm of their denominators, take integer dot products and make one Fraction
+per entry.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import NamedTuple
+from math import lcm, prod
+from typing import NamedTuple, Sequence
 
 from .errors import Singular
 
@@ -23,30 +26,36 @@ def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _dot_rows(A: Matrix, cols: list[tuple[list[int], int]]) -> Matrix:
+    """Rows of A times columns given as numerators(): per entry one integer
+    dot product over A's nonzero terms, over the product of the denominators."""
+    out = []
+    for row in A:
+        nums, d = numerators(row)
+        terms = [(k, a) for k, a in enumerate(nums) if a]
+        out.append([Fraction(sum([a * bn[k] for k, a in terms]), d * db) for bn, db in cols])
+    return out
+
+
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    rows, inner, cols = len(A), len(B), len(B[0])
-    assert len(A[0]) == inner
-    return [
-        [sum((A[i][k] * B[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    assert len(A[0]) == len(B)
+    return _dot_rows(A, [numerators(col) for col in zip(*B)])
 
 
 def mat_vec(A: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in A]
+    return [row[0] for row in _dot_rows(A, [numerators(v)])]
 
 
-def _integerize_rows(M: Matrix) -> tuple[list[list[int]], list[Fraction]]:
+def _integerize_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:
     """Scale each row to integers; returns (int matrix, per-row factors)."""
-    out: list[list[int]] = []
-    factors: list[Fraction] = []
-    for row in M:
-        denom = 1
-        for v in row:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        out.append([int(v * denom) for v in row])
-        factors.append(Fraction(denom))
-    return out, factors
+    scaled = [numerators(row) for row in M]
+    return [nums for nums, _ in scaled], [d for _, d in scaled]
 
 
 def _fraction_free(A: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
@@ -105,10 +114,7 @@ def det(M: Matrix) -> Fraction:
     _, pivots, sign, d = _fraction_free(A)
     if len(pivots) < n:
         return Fraction(0)
-    value = Fraction(sign * d)
-    for f in factors:
-        value /= f
-    return value
+    return Fraction(sign * d, prod(factors))
 
 
 def _kernel(R: Matrix, pivots: list[int], cols: int) -> list[Vector]:
@@ -178,9 +184,7 @@ def eliminate_square(M: Matrix) -> SquareElimination:
     if len(left) < n:
         R = [[Fraction(v, d) for v in row[:n]] for row in A]
         return SquareElimination(len(left), Fraction(0), None, _kernel(R, left, n))
-    value = Fraction(sign * d)
-    for f in factors:
-        value /= f
+    value = Fraction(sign * d, prod(factors))
     return SquareElimination(n, value, [[Fraction(v, d) for v in row[n:]] for row in A], [])
 
 

@@ -5,6 +5,12 @@ Richardson extrapolation; everything here runs in float coordinates.  The
 directional value is scalar-linear in the direction, so Jacobians, operator
 norms and reconstructed standard components all reduce to repeated calls of
 the same engine along basis directions.
+
+The samples and the Neville table are plain lists of Python floats, one
+float operation per coordinate.  numpy serves only where whole matrices
+are: the Jacobian array, the least-squares solve, the SVD and the sampled
+norm.  A derivative whose extrapolants or error estimate are NaN or
+infinite raises NonConvergent instead of passing as a value.
 """
 
 from __future__ import annotations
@@ -45,10 +51,20 @@ class DiffConfig:
     norm_samples: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.base_step <= 0:
-            raise ValueError("base step must be positive")
+        if not (math.isfinite(self.base_step) and self.base_step > 0):
+            raise ValueError(f"base step must be finite and positive: {self.base_step!r}")
+        if not (math.isfinite(self.ratio) and self.ratio > 1):
+            raise ValueError(f"step ratio must be finite and above 1: {self.ratio!r}")
         if self.levels < 2:
             raise ValueError("need at least two extrapolation levels")
+        # The smallest step must not underflow to 0 (a division by zero) nor
+        # the largest Neville factor ratio^(2 (levels - 1)) overflow.
+        try:
+            smallest = self.base_step / (self.ratio * self.ratio) ** (self.levels - 1)
+        except OverflowError:
+            smallest = 0.0
+        if not smallest > 0:
+            raise ValueError("steps leave the float range at this ratio and level count")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"relative tolerance must be finite and positive: {self.rel_tol!r}")
 
@@ -108,13 +124,8 @@ def _floats(elems: tuple[Element, ...]) -> tuple[Element, ...]:
     return tuple(e.to_float() for e in elems)
 
 
-def _flatten(elems: tuple[Element, ...]) -> np.ndarray:
-    return np.array([float(c) for e in elems for c in e.coords], dtype=float)
-
-
-def _unflatten(alg: AlgebraSpec, arity: int, values: np.ndarray) -> tuple[Element, ...]:
+def _unflatten(alg: AlgebraSpec, arity: int, flat: list[float]) -> tuple[Element, ...]:
     n = alg.dim
-    flat = values.tolist()
     return tuple(Element(alg, tuple(flat[k * n : (k + 1) * n])) for k in range(arity))
 
 
@@ -122,29 +133,31 @@ def _wrap(f: MapEvaluator, out: tuple[Element, ...]):
     return out[0] if f.codomain[1] == 1 else out
 
 
-def _richardson(sample: Callable[[float], np.ndarray], cfg: DiffConfig) -> tuple[np.ndarray, float]:
+def _richardson(sample: Callable[[float], list[float]], cfg: DiffConfig) -> tuple[list[float], float]:
     """Extrapolate a central-difference sample with error series in t^2.
 
     The error estimate is the final Neville correction, which bounds the
-    remaining error one extrapolation order above the returned value's.
+    remaining error one extrapolation order above the returned value's.  It
+    is NaN or infinite whenever any extrapolant is.
     """
     r2 = cfg.ratio * cfg.ratio
-    rows: list[list[np.ndarray]] = []
     t = cfg.base_step
+    row: list[list[float]] = []
     for k in range(cfg.levels):
-        row = [sample(t / cfg.ratio**k)]
+        prev, row = row, [sample(t / cfg.ratio**k)]
         for m in range(1, k + 1):
-            factor = r2**m
-            row.append(row[m - 1] + (row[m - 1] - rows[k - 1][m - 1]) / (factor - 1))
-        rows.append(row)
-    best = rows[-1][-1]
-    err = float(np.max(np.abs(best - rows[-1][-2])))
+            d = r2**m - 1
+            row.append([c + (c - q) / d for c, q in zip(row[m - 1], prev[m - 1])])
+    best = row[-1]
+    diffs = [abs(b - q) for b, q in zip(best, row[-2])]
+    # max skips a NaN that is not first; the sum of the differences does not.
+    err = math.nan if math.isnan(sum(diffs)) else max(diffs)
     return best, err
 
 
 def _directional(
     f: MapEvaluator, x: tuple[Element, ...], a: tuple[Element, ...], cfg: DiffConfig
-) -> tuple[np.ndarray, float]:
+) -> tuple[list[float], float]:
     # x and a hold float coordinates, so x + t a is built coordinate-wise;
     # (-t) v == -(t v) exactly, so x - t a is shifted(-t).
     parts = [(xi.alg, xi.coords, ai.coords) for xi, ai in zip(x, a)]
@@ -154,12 +167,15 @@ def _directional(
             Element(alg, tuple([u + t * v for u, v in zip(xc, ac)])) for alg, xc, ac in parts
         )
 
-    def sample(t: float) -> np.ndarray:
-        return (_flatten(f(shifted(t))) - _flatten(f(shifted(-t)))) / (2.0 * t)
+    def sample(t: float) -> list[float]:
+        # float(): a map may return exact coordinates, as maps.constant does.
+        out = zip(f(shifted(t)), f(shifted(-t)))
+        return [(float(p) - float(m)) / (2.0 * t) for e, o in out for p, m in zip(e.coords, o.coords)]
 
     value, err = _richardson(sample, cfg)
-    scale = max(1.0, float(np.max(np.abs(value))))
-    if err > cfg.rel_tol * scale:
+    scale = max(1.0, *map(abs, value))
+    # A non-finite error fails, so no NaN or infinity passes as a derivative.
+    if not (math.isfinite(err) and err <= cfg.rel_tol * scale):
         raise NonConvergent(
             f"extrapolants disagree by {err:.3e} (scale {scale:.3e})",
             error=err,
@@ -234,16 +250,16 @@ def second_gateaux(
     a1 = a1.to_float()
     a2 = a2.to_float()
 
-    def g(y: Element) -> np.ndarray:
+    def g(y: Element) -> list[float]:
         value, _ = _directional(f, (y,), (a1,), inner_cfg)
         return value
 
-    def sample(t: float) -> np.ndarray:
-        return (g(x + t * a2) - g(x - t * a2)) / (2.0 * t)
+    def sample(t: float) -> list[float]:
+        return [(p - m) / (2.0 * t) for p, m in zip(g(x + t * a2), g(x - t * a2))]
 
     value, err = _richardson(sample, outer_cfg)
-    scale = max(1.0, float(np.max(np.abs(value))))
-    if err > outer_cfg.rel_tol * scale:
+    scale = max(1.0, *map(abs, value))
+    if not (math.isfinite(err) and err <= outer_cfg.rel_tol * scale):
         raise NonConvergent(
             f"second-order extrapolants disagree by {err:.3e}",
             error=err,
@@ -276,7 +292,7 @@ def jacobian(f: MapEvaluator, x: Point, cfg: DiffConfig = DEFAULT_CONFIG) -> np.
             direction = tuple(unit if k == slot else zero for k in range(arity_in))
             col, _ = _directional(f, xt, direction, cfg)
             cols.append(col)
-    return np.column_stack(cols)
+    return np.array(list(zip(*cols)))
 
 
 def differential_std_components(

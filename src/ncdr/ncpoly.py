@@ -23,7 +23,8 @@ fused once, as a word is built or filled in.  rename, derivative and scaling
 by a rational change variable names or scalars of words that are already
 canonical, so they merge equal words and sort without a second fusion pass.
 sym_derivative and taylor_poly raise DegreeTooLarge beyond
-MAX_DERIVATIVE_WORDS and MAX_TAYLOR_WORDS.
+MAX_DERIVATIVE_WORDS and MAX_TAYLOR_WORDS, and a product of word polynomials
+beyond MAX_PRODUCT_WORDS.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ from .errors import AlgebraMismatch, DegreeTooLarge, UnboundSymbol
 MAX_DERIVATIVE_WORDS = 20_000
 #: Most words taylor_poly builds over all its terms: the sum of 2^n.
 MAX_TAYLOR_WORDS = 2**12
+#: Most words a product of word polynomials builds: the product of their term
+#: counts.  A power of a sum reaches it first: (x+i+j)^9 in H builds 4,425.
+MAX_PRODUCT_WORDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -208,6 +212,11 @@ class WordPoly:
 
     def __mul__(self, other: object) -> "WordPoly":
         if isinstance(other, WordPoly):
+            words = len(self.terms) * len(other.terms)
+            if words > MAX_PRODUCT_WORDS:
+                raise DegreeTooLarge(
+                    f"product would build {words} words (limit {MAX_PRODUCT_WORDS})"
+                )
             raw = [
                 (c1 * c2, w1 + w2)
                 for c1, w1 in self.terms

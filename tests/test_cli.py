@@ -217,9 +217,20 @@ def test_exp_domain_errors_exit_cleanly(capsys, argv):
     (("poly", "derive", "--poly", "x^9", "--order", "9"), "DegreeTooLarge"),
     (("poly", "taylor", "--poly", "x^13", "--at", "1"), "DegreeTooLarge"),
     (("poly", "taylor", "--poly", "x^33", "--at", "1"), "ParseError"),
+    (("poly", "taylor", "--poly", "(x+i+j)^20", "--at", "1"), "DegreeTooLarge"),
 ])
 def test_size_guards_exit_cleanly(capsys, argv, error):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"{error}:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["jacobian", "std-components"])
+def test_non_finite_derivatives_exit_cleanly(capsys, command):
+    # cube overflows to infinity near 1e110; the extrapolants turn NaN.
+    code, out, err = run(capsys, "diff", command, "--alg", "H", "--map", "cube",
+                         "--at", "1" + "0" * 110)
+    assert code == 1 and out == ""
+    assert err.startswith("NonConvergent:")
+    assert "Traceback" not in err and "Warning" not in err

@@ -2,7 +2,9 @@
 
 The single fraction-free routine behind rref, rank and det is checked against
 the two eliminations it replaced, kept here as references: Gauss-Jordan on
-Fractions for rref, and Bareiss below the pivot for rank and det.
+Fractions for rref, and Bareiss below the pivot for rank and det.  The
+integer mat_mul and mat_vec are checked against the Fraction loops they
+replaced, kept here the same way.
 """
 
 import random
@@ -262,3 +264,45 @@ def test_eliminate_square_matches_separate_passes(M):
 
 def test_eliminate_square_of_empty_matrix():
     assert exactla.eliminate_square([]) == (0, Fraction(1), [], [])
+
+
+def reference_mat_mul(A, B):
+    rows, inner, cols = len(A), len(B), len(B[0])
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def reference_mat_vec(A, v):
+    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in A]
+
+
+@given(matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mat_mul_and_mat_vec_match_references(A, data):
+    inner, cols = len(A[0]), data.draw(st.integers(1, 8), label="cols")
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    B = data.draw(st.lists(row, min_size=inner, max_size=inner), label="B")
+    for j in data.draw(st.sets(st.integers(0, cols - 1)), label="zero columns"):
+        for r in B:
+            r[j] = Fraction(0)
+    v = [r[0] for r in B]
+    copies = [row[:] for row in A], [row[:] for row in B]
+    got = exactla.mat_mul(A, B)
+    assert got == reference_mat_mul(A, B)
+    assert all(type(x) is Fraction for row in got for x in row)
+    got = exactla.mat_vec(A, v)
+    assert got == reference_mat_vec(A, v)
+    assert all(type(x) is Fraction for x in got)
+    assert (A, B) == copies
+
+
+def test_mat_mul_mixed_denominators_and_zero_lines():
+    A = [[Fraction(1, 2), Fraction(0), Fraction(-2, 3)],
+         [Fraction(0), Fraction(0), Fraction(0)]]
+    B = [[Fraction(3, 7), Fraction(0)], [Fraction(5), Fraction(0)], [Fraction(9, 4), Fraction(0)]]
+    assert exactla.mat_mul(A, B) == [[Fraction(3, 14) - Fraction(3, 2), 0], [0, 0]]
+    assert exactla.mat_vec(A, [Fraction(1, 5), Fraction(7), Fraction(3, 10)]) == [
+        Fraction(1, 10) - Fraction(1, 5), 0]
+    assert exactla.mat_mul([[Fraction(2, 3)]], [[Fraction(3, 4)]]) == [[Fraction(1, 2)]]

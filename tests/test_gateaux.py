@@ -1,5 +1,6 @@
 """Numeric directional derivatives against the closed-form table."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -296,6 +297,75 @@ def test_derivative_table_conformance():
 def test_diff_config_rejects_bad_rel_tol(rel_tol):
     with pytest.raises(ValueError):
         DiffConfig(rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base_step", float("nan")),
+    ("base_step", float("inf")),
+    ("base_step", 0.0),
+    ("base_step", -2.0**-6),
+    ("ratio", 1.0),
+    ("ratio", 0.5),
+    ("ratio", float("nan")),
+    ("ratio", float("inf")),
+])
+def test_diff_config_rejects_bad_steps(field, value):
+    with pytest.raises(ValueError):
+        DiffConfig(**{field: value})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"base_step": 1e-323},
+    {"ratio": 1e100, "levels": 3},
+    {"ratio": 1e200},
+])
+def test_diff_config_rejects_steps_outside_float_range(kwargs):
+    # A step that underflows to 0 would divide by zero, and an overflowing
+    # Neville factor would raise OverflowError, inside the engine.
+    with pytest.raises(ValueError):
+        DiffConfig(**kwargs)
+
+
+def test_non_finite_derivatives_raise():
+    # cube overflows to infinity near 1e110, so the differences turn NaN;
+    # no NaN or infinity may pass as a derivative.
+    big = H.element([10**110, 0, 0, 0])
+    with pytest.raises(NonConvergent) as info:
+        gateaux(maps.cube(H), big, I)
+    assert not math.isfinite(info.value.error)
+    assert info.value.step == DiffConfig().base_step
+    with pytest.raises(NonConvergent):
+        jacobian(maps.cube(H), big)
+    with pytest.raises(NonConvergent):
+        differential_std_components(maps.cube(H), big)
+    with pytest.raises(NonConvergent) as info:
+        second_gateaux(maps.cube(H), big, I, J)
+    assert not math.isfinite(info.value.error)
+    # A map with a pole at 1 in its j-coordinate, sampled there by the third
+    # step from 1 + 2^-8: that coordinate's extrapolant turns NaN behind a
+    # finite first coordinate, which Python's max alone would pass over.
+    def pole(x):
+        u = x.coords[0] - 1.0
+        return H.element([u, 0.0, 1.0 / u if u else math.inf, 0.0])
+
+    with pytest.raises(NonConvergent) as info:
+        gateaux(MapEvaluator.unary(H, pole), H.element([1 + 2.0**-8, 0, 0, 0]), ONE)
+    assert math.isnan(info.value.error)
+
+
+def test_overflowing_extrapolant_raises():
+    # Finite samples M and -M whose Neville difference overflows: the
+    # extrapolant, the error estimate and the scale are all infinite, so the
+    # relative test alone (inf <= tol * inf) would pass it.
+    M = 1e308
+
+    def swing(x):
+        s = x.coords[0] - 1.0
+        return H.element([s * M if abs(s) == 2.0**-6 else -s * M, 0.0, 0.0, 0.0])
+
+    with pytest.raises(NonConvergent) as info:
+        gateaux(MapEvaluator.unary(H, swing), ONE, ONE, DiffConfig(levels=2))
+    assert info.value.error == math.inf and info.value.scale == math.inf
 
 
 def test_zero_direction_still_needs_f_defined_at_x():

@@ -1,0 +1,247 @@
+"""The float-list difference engine against the numpy engine it replaced.
+
+The numpy Richardson table and sampler are kept here as the reference, as
+they ran before the engine moved to plain float lists.  Every coordinate is
+the same IEEE operation in the same order, so values and error estimates
+must be equal as floats, and the same inputs must raise the same errors
+with the same numbers.  The one intended difference: the reference lets NaN
+and infinity through as derivatives, where the engine raises NonConvergent.
+"""
+
+import importlib
+import math
+from contextlib import contextmanager
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ncdr import maps
+from ncdr.algebra import COMPLEX, QUATERNIONS, Element, make_quaternion_algebra, mul
+from ncdr.errors import NcdrError, NonConvergent
+from ncdr.gateaux import (
+    DiffConfig,
+    MapEvaluator,
+    differential_std_components,
+    gateaux_with_error,
+    jacobian,
+    second_gateaux,
+)
+
+# The package re-exports the gateaux() function under the module's name.
+engine = importlib.import_module("ncdr.gateaux")
+
+
+def reference_richardson(sample, cfg):
+    r2 = cfg.ratio * cfg.ratio
+    rows = []
+    t = cfg.base_step
+    for k in range(cfg.levels):
+        row = [sample(t / cfg.ratio**k)]
+        for m in range(1, k + 1):
+            factor = r2**m
+            row.append(row[m - 1] + (row[m - 1] - rows[k - 1][m - 1]) / (factor - 1))
+        rows.append(row)
+    best = rows[-1][-1]
+    err = float(np.max(np.abs(best - rows[-1][-2])))
+    return best, err
+
+
+def _flatten(elems):
+    return np.array([float(c) for e in elems for c in e.coords], dtype=float)
+
+
+def reference_directional(f, x, a, cfg):
+    parts = [(xi.alg, xi.coords, ai.coords) for xi, ai in zip(x, a)]
+
+    def shifted(t):
+        return tuple(
+            Element(alg, tuple([u + t * v for u, v in zip(xc, ac)])) for alg, xc, ac in parts
+        )
+
+    def sample(t):
+        return (_flatten(f(shifted(t))) - _flatten(f(shifted(-t)))) / (2.0 * t)
+
+    with np.errstate(all="ignore"):
+        value, err = reference_richardson(sample, cfg)
+    scale = max(1.0, float(np.max(np.abs(value))))
+    if err > cfg.rel_tol * scale:
+        raise NonConvergent(
+            f"extrapolants disagree by {err:.3e} (scale {scale:.3e})",
+            error=err,
+            scale=scale,
+            step=cfg.base_step,
+        )
+    return value, err
+
+
+def reference_second_gateaux(f, x, a1, a2, cfg):
+    outer_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-6))
+    x, a1, a2 = x.to_float(), a1.to_float(), a2.to_float()
+
+    def g(y):
+        return reference_directional(f, (y,), (a1,), cfg)[0]
+
+    def sample(t):
+        return (g(x + t * a2) - g(x - t * a2)) / (2.0 * t)
+
+    with np.errstate(all="ignore"):
+        value, err = reference_richardson(sample, outer_cfg)
+    scale = max(1.0, float(np.max(np.abs(value))))
+    if err > outer_cfg.rel_tol * scale:
+        raise NonConvergent(
+            f"second-order extrapolants disagree by {err:.3e}",
+            error=err,
+            scale=scale,
+            step=outer_cfg.base_step,
+        )
+    return Element(f.codomain[0], tuple(value.tolist()))
+
+
+def reference_directional_lists(*args):
+    value, err = reference_directional(*args)
+    return value.tolist(), err
+
+
+@contextmanager
+def reference_engine():
+    """Run the public entry points on the reference sampler and table."""
+    with mock.patch.object(engine, "_directional", reference_directional_lists):
+        yield
+
+
+def outcome(call):
+    """A call's floats, or the name, message and numbers of the error it raised."""
+    try:
+        return "value", _data(call())
+    except (NcdrError, ValueError) as exc:
+        numbers = tuple(getattr(exc, k, None) for k in ("error", "scale", "step", "residual"))
+        return "raised", type(exc).__name__, str(exc), numbers
+
+
+def _data(result):
+    if isinstance(result, np.ndarray):
+        assert result.dtype == np.float64
+        return result.shape, tuple(result.ravel().tolist())
+    if isinstance(result, (tuple, list)):
+        return tuple(_data(r) for r in result)
+    if isinstance(result, Element):
+        return result.coords
+    if hasattr(result, "components"):
+        return result.components.comps, result.unique
+    return result
+
+
+def _finite(data):
+    if isinstance(data, tuple):
+        return all(_finite(d) for d in data)
+    return not isinstance(data, float) or math.isfinite(data)
+
+
+def assert_same(got, want):
+    if want[0] == "value" and not _finite(want[1]) or want[1] == "ValueError":
+        # The reference passed NaN or infinity through, or failed to snap a
+        # NaN to a fraction; the engine refuses it as NonConvergent.
+        assert got[:2] == ("raised", "NonConvergent")
+        assert not math.isfinite(got[3][0])
+    else:
+        assert got == want
+
+
+def check_entry_points(f, x, a, cfg, b=None):
+    """Compare every engine entry point at (x, a), the unary ones only for D -> D."""
+    xt = tuple(e.to_float() for e in (x if isinstance(x, tuple) else (x,)))
+    at = tuple(e.to_float() for e in (a if isinstance(a, tuple) else (a,)))
+    assert_same(outcome(lambda: engine._directional(f, xt, at, cfg)),
+                outcome(lambda: reference_directional_lists(f, xt, at, cfg)))
+    calls = [lambda: gateaux_with_error(f, x, a, cfg), lambda: jacobian(f, x, cfg)]
+    if b is not None:
+        calls.append(lambda: differential_std_components(f, x, cfg))
+    for call in calls:
+        with reference_engine():
+            want = outcome(call)
+        assert_same(outcome(call), want)
+    if b is not None:
+        assert_same(outcome(lambda: second_gateaux(f, x, a, b, cfg)),
+                    outcome(lambda: reference_second_gateaux(f, x, a, b, cfg)))
+
+
+def unary_maps(b, c):
+    alg = b.alg
+    return [make(alg) for make in maps.BUILTINS.values()] + [
+        maps.two_sided(b, c),
+        maps.commutator(b),
+        maps.sandwich(c),
+        maps.constant(b),
+    ]
+
+
+nonunit = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(
+    lambda v: v not in (0, 1, -1)
+)
+algebras = st.one_of(
+    st.just(QUATERNIONS),
+    st.just(COMPLEX),
+    st.builds(make_quaternion_algebra, nonunit, nonunit),
+)
+scalars = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+configs = st.sampled_from([
+    DiffConfig(),
+    DiffConfig(levels=2),
+    DiffConfig(levels=6),
+    DiffConfig(ratio=3.0, base_step=1e-2),
+    DiffConfig(ratio=1.5, levels=5, rel_tol=1e-10),
+])
+
+
+@st.composite
+def points(draw):
+    alg = draw(algebras)
+    return [alg.element([draw(scalars) for _ in range(alg.dim)]) for _ in range(4)]
+
+
+@given(points(), configs)
+@settings(max_examples=40, deadline=None)
+def test_engine_matches_reference(pts, cfg):
+    x, a, b, c = pts
+    for f in unary_maps(b, c):
+        check_entry_points(f, x, a, cfg, b=b)
+    product = MapEvaluator.nary(x.alg, 2, mul)
+    check_entry_points(product, (x, b), (a, c), cfg)
+
+
+def test_engine_matches_reference_on_builtin_table():
+    H = QUATERNIONS
+    one, i, j, k = (H.basis(n) for n in range(4))
+    x = H.element([1, "1/2", -2, "3/4"])
+    for alg, a, b, c in [(H, i + k, j, one + i), (COMPLEX, COMPLEX.basis(1), COMPLEX.one,
+                                                    COMPLEX.element([1, 2]))]:
+        point = x if alg is H else COMPLEX.element([3, "-1/4"])
+        for f in unary_maps(b, c):
+            check_entry_points(f, point, a, DiffConfig(), b=b)
+
+
+def test_same_nonconvergent_as_reference():
+    H = QUATERNIONS
+    one, i = H.one, H.basis(1)
+    kink = MapEvaluator.unary(H, lambda x: abs(float(x.coords[0]) - 1.0075) * i.to_float())
+    bent = MapEvaluator.unary(
+        H, lambda x: float(x.coords[1]) * abs(float(x.coords[0]) - 1.0075) * i.to_float()
+    )
+    check_entry_points(kink, one, one, DiffConfig(), b=i)
+    check_entry_points(bent, one, i, DiffConfig(), b=one)
+    got = outcome(lambda: second_gateaux(bent, one, i, one))
+    assert got[:2] == ("raised", "NonConvergent")
+
+
+def test_non_finite_reference_values_raise():
+    # cube overflows near 1e110: the reference returns NaN, the engine raises.
+    H = QUATERNIONS
+    big = H.element([10**110, 0, 0, 0])
+    i, j = H.basis(1), H.basis(2)
+    with reference_engine():
+        value, _ = gateaux_with_error(maps.cube(H), big, i)
+    assert not all(math.isfinite(v) for v in value.coords)
+    check_entry_points(maps.cube(H), big, i, DiffConfig(), b=j)

@@ -14,9 +14,11 @@ from ncdr.errors import DegreeTooLarge, UnboundSymbol
 from ncdr.gateaux import gateaux
 from ncdr.ncpoly import (
     MAX_DERIVATIVE_WORDS,
+    MAX_PRODUCT_WORDS,
     MAX_TAYLOR_WORDS,
     Monomial,
     NCPoly,
+    Var,
     WordPoly,
     diagonal,
     eval_poly,
@@ -26,6 +28,7 @@ from ncdr.ncpoly import (
     taylor_poly,
     word_eval,
 )
+from ncdr.parsing import parse_word_poly
 
 H = QUATERNIONS
 ONE, I, J, K = (H.basis(n) for n in range(4))
@@ -363,3 +366,16 @@ def test_taylor_size_guard():
     with pytest.raises(DegreeTooLarge):
         taylor_poly(X ** (over - 1) + X ** (over - 1), H.one)
     assert len(taylor_poly(X**6, H.one).terms) == 7
+
+
+def test_product_size_guard():
+    # The guard counts the product of the operands' term counts and refuses
+    # before building, so a power of a sum stops at the first large product.
+    side = math.isqrt(MAX_PRODUCT_WORDS) + 1
+    many = WordPoly.build(H, [(Fraction(1), (Var(f"h{k}"),)) for k in range(side)])
+    with pytest.raises(DegreeTooLarge):
+        many * many
+    assert len((many * wp_var("y")).terms) == side
+    with pytest.raises(DegreeTooLarge):
+        parse_word_poly(H, "(x+i+j)^20")
+    assert len(parse_word_poly(H, "(x+i+j)^9").terms) == 3501
