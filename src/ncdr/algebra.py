@@ -33,6 +33,8 @@ from typing import Sequence, Union
 
 from .errors import (
     AlgebraMismatch,
+    AxiomViolated,
+    DimensionMismatch,
     NotInvertible,
     ParseError,
     WrongDimension,
@@ -81,18 +83,18 @@ class AlgebraSpec:
     def __post_init__(self) -> None:
         n = self.dim
         if n <= 0:
-            raise ValueError("dimension must be positive")
+            raise DimensionMismatch("dimension must be positive")
         C = self.structure
         if len(C) != n or any(len(row) != n or any(len(v) != n for v in row) for row in C):
-            raise ValueError("structure tensor must be n x n x n")
+            raise DimensionMismatch("structure tensor must be n x n x n")
         if self.conj_signs is not None and len(self.conj_signs) != n:
-            raise ValueError("conj_signs length must equal dim")
+            raise DimensionMismatch("conj_signs length must equal dim")
         # Unit axiom: e_0 * e_r = e_r * e_0 = e_r.
         for r in range(n):
             for j in range(n):
                 delta = Fraction(int(r == j))
                 if C[0][r][j] != delta or C[r][0][j] != delta:
-                    raise ValueError(f"unit axiom violated at e_0, e_{r}")
+                    raise AxiomViolated(f"unit axiom violated at e_0, e_{r}")
         # Associativity: (e_k e_l) e_m == e_k (e_l e_m) for every basis triple.
         for k in range(n):
             for l in range(n):
@@ -101,7 +103,7 @@ class AlgebraSpec:
                         lhs = sum(C[k][l][p] * C[p][m][q] for p in range(n))
                         rhs = sum(C[l][m][p] * C[k][p][q] for p in range(n))
                         if lhs != rhs:
-                            raise ValueError(
+                            raise AxiomViolated(
                                 f"associativity violated at (e_{k} e_{l}) e_{m}"
                             )
 
@@ -133,7 +135,7 @@ class AlgebraSpec:
 
     def element(self, coords: Sequence[ScalarLike]) -> "Element":
         if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
+            raise DimensionMismatch(f"expected {self.dim} coordinates, got {len(coords)}")
         return Element(self, tuple(as_scalar(c) for c in coords))
 
     def basis(self, i: int) -> "Element":

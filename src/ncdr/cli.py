@@ -12,7 +12,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import maps
@@ -39,11 +38,18 @@ def _algebra(name: str) -> AlgebraSpec:
         raise ParseError(f"unknown algebra {name!r} (expected H or C)") from None
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path!r}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _grid_from_spec(alg: AlgebraSpec, spec: str) -> list[list[Fraction]]:
     spec = spec.strip()
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            spec = fh.read().strip()
+        spec = _read_text(spec[1:]).strip()
     n = alg.dim
     m = re.fullmatch(r"I(\d+)", spec)
     if m:
@@ -62,6 +68,8 @@ def _grid_from_spec(alg: AlgebraSpec, spec: str) -> list[list[Fraction]]:
         rows = json.loads(spec)
     except json.JSONDecodeError as exc:
         raise ParseError(f"cannot read matrix spec: {exc}") from exc
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ParseError("matrix spec must be a JSON list of rows")
     return [[parse_rational(str(v)) for v in row] for row in rows]
 
 
@@ -101,9 +109,7 @@ def _cmd_algebra_show(args, cfg) -> int:
 
 def _cmd_algebra_check(args, cfg) -> int:
     if args.file:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        alg = AlgebraSpec.from_json(text)
+        alg = AlgebraSpec.from_json(_read_text(args.file))
     else:
         alg = _algebra(args.alg)
     # Construction validates the unit and associativity axioms.
@@ -374,7 +380,7 @@ def _config() -> DiffConfig:
     if tol is None:
         return DEFAULT_CONFIG
     try:
-        return replace(DEFAULT_CONFIG, rel_tol=float(tol))
+        return DiffConfig(rel_tol=float(tol))
     except ValueError:
         raise ParseError(f"NCDR_TOL must be a finite positive number, got {tol!r}") from None
 
@@ -384,9 +390,6 @@ def main(argv=None) -> int:
     try:
         return args.handler(args, _config())
     except NcdrError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

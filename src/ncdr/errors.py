@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all ncdr modules."""
+"""Exception hierarchy shared by all ncdr modules.
+
+Errors for arguments of the wrong shape, range or syntax also derive from
+ValueError, as json.JSONDecodeError does, so callers that catch ValueError
+keep catching them.
+"""
 
 from __future__ import annotations
 
@@ -15,12 +20,16 @@ class AlgebraMismatch(NcdrError):
     """Operands belong to different algebras."""
 
 
-class DimensionMismatch(NcdrError):
+class DimensionMismatch(NcdrError, ValueError):
     """Vector/matrix shapes do not line up."""
 
 
 class WrongDimension(NcdrError):
     """Operation requires an algebra of a specific dimension."""
+
+
+class AxiomViolated(NcdrError, ValueError):
+    """A structure tensor breaks the unit or associativity axiom."""
 
 
 class NotInvertible(NcdrError):
@@ -85,7 +94,7 @@ class UnboundSymbol(NcdrError):
     """Word evaluation hit a variable with no binding."""
 
 
-class RangeError(NcdrError):
+class RangeError(NcdrError, ValueError):
     """Argument outside the supported range."""
 
 
@@ -97,5 +106,6 @@ class OrderExceeded(NcdrError):
     """Taylor recursion did not terminate within the requested order."""
 
 
-class ParseError(NcdrError):
-    """Malformed element or polynomial literal, or malformed JSON document."""
+class ParseError(NcdrError, ValueError):
+    """Malformed literal, expression, matrix spec or JSON document, or an
+    input file that cannot be read."""

@@ -23,6 +23,7 @@ from .algebra import AlgebraSpec, Element, ScalarLike, as_scalar, mul
 from .errors import (
     AlgebraMismatch,
     DegreeTooLarge,
+    DimensionMismatch,
     NotRepresentable,
     Singular,
 )
@@ -44,7 +45,7 @@ class StdComponents:
     def __post_init__(self) -> None:
         n = self.alg.dim
         if len(self.comps) != n or any(len(r) != n for r in self.comps):
-            raise ValueError("standard components must form an n x n grid")
+            raise DimensionMismatch("standard components must form an n x n grid")
 
     @classmethod
     def from_rows(cls, alg: AlgebraSpec, rows) -> "StdComponents":
@@ -75,7 +76,7 @@ class CoordMatrix:
     def __post_init__(self) -> None:
         n = self.alg.dim
         if len(self.mat) != n or any(len(r) != n for r in self.mat):
-            raise ValueError("coordinate matrix must be n x n")
+            raise DimensionMismatch("coordinate matrix must be n x n")
 
     @classmethod
     def from_rows(cls, alg: AlgebraSpec, rows) -> "CoordMatrix":
@@ -308,7 +309,7 @@ class PolyCoords:
     def evaluate(self, args: Sequence[Element]) -> Element:
         """Reconstruct f(a_1..a_m) = sum a_1^{i1}...a_m^{im} f_{i1..im}."""
         if len(args) != self.degree:
-            raise ValueError(f"expected {self.degree} arguments")
+            raise DimensionMismatch(f"expected {self.degree} arguments")
         acc = self.alg.zero
         n = self.alg.dim
         for idx in itertools.product(range(n), repeat=self.degree):

@@ -19,9 +19,10 @@ Formal words mixing constants and variables live in WordPoly.  Their formal
 canonical form (fused constants, folded central scalars, sorted terms) is a
 fast pre-check only; equality of word polynomials is extensional, decided by
 evaluating on every basis binding of the symbol alphabet.  Constants are
-fused once, as a word is built or filled in.  rename, derivative and scaling
-by a rational change variable names or scalars of words that are already
-canonical, so they merge equal words and sort without a second fusion pass.
+fused once, as a word is built or filled in.  Sums, rename, derivative and
+scaling by a rational combine words that are already canonical or change
+their variable names or scalars, so they merge equal words and sort without
+a second fusion pass.
 sym_derivative and taylor_poly raise DegreeTooLarge beyond
 MAX_DERIVATIVE_WORDS and MAX_TAYLOR_WORDS, and a product of word polynomials
 beyond MAX_PRODUCT_WORDS.
@@ -37,7 +38,14 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import AlgebraSpec, Element, mul
-from .errors import AlgebraMismatch, DegreeTooLarge, UnboundSymbol
+from .errors import (
+    AlgebraMismatch,
+    DegreeTooLarge,
+    DimensionMismatch,
+    ParseError,
+    RangeError,
+    UnboundSymbol,
+)
 
 # Size guards, in words built.  Each limit admits about a second of work in
 # H: a generic degree-7 monomial differentiated to order 7 builds 5,040
@@ -202,7 +210,8 @@ class WordPoly:
         )
 
     def __add__(self, other: "WordPoly") -> "WordPoly":
-        return WordPoly.build(self.alg, self.terms + other.terms)
+        # Both operands are canonical, so their words only need merging.
+        return WordPoly(self.alg, _collect(self.terms + other.terms))
 
     def __sub__(self, other: "WordPoly") -> "WordPoly":
         return self + (-other)
@@ -342,7 +351,7 @@ class Monomial:
 
     def __post_init__(self) -> None:
         if not self.coefficients:
-            raise ValueError("a monomial needs at least one coefficient")
+            raise DimensionMismatch("a monomial needs at least one coefficient")
 
     @property
     def degree(self) -> int:
@@ -420,7 +429,7 @@ class NCPoly:
 
     def __pow__(self, k: int) -> "NCPoly":
         if k < 0:
-            raise ValueError("negative powers are not polynomials")
+            raise RangeError("negative powers are not polynomials")
         acc = NCPoly.constant(self.alg.one)
         for _ in range(k):
             acc = acc * self
@@ -447,7 +456,7 @@ def ncpoly_from_words(w: WordPoly, name: str = "x") -> NCPoly:
         for f in word:
             if isinstance(f, Var):
                 if f.name != name:
-                    raise ValueError(f"unexpected symbol {f.name}")
+                    raise ParseError(f"unexpected symbol {f.name}")
                 coeffs.append(current)
                 current = alg.one
             else:
@@ -479,7 +488,7 @@ def sym_derivative(p: NCPoly, order: int, var: str = "x") -> WordPoly:
     the result is symmetric under permuting the h's by construction.
     """
     if order < 1:
-        raise ValueError("derivative order must be at least 1")
+        raise RangeError("derivative order must be at least 1")
     words = sum(math.perm(m.degree, order) for m in p.monomials)
     if words > MAX_DERIVATIVE_WORDS:
         raise DegreeTooLarge(
@@ -507,11 +516,11 @@ class TaylorExpansion:
     def reconstruct(self) -> NCPoly:
         """Substitute h = x - base_point and expand back to a polynomial in x.
 
-        All terms are substituted together, so their words merge in one build.
+        All terms are substituted together, so their canonical words merge once.
         """
         alg = self.base_point.alg
         shift = WordPoly.variable(alg, "x") - WordPoly.constant(self.base_point)
-        in_h = WordPoly.build(alg, [w for t in self.terms for w in t.to_words("h").terms])
+        in_h = WordPoly(alg, _collect(w for t in self.terms for w in t.to_words("h").terms))
         return ncpoly_from_words(in_h.substitute("h", shift), "x")
 
 

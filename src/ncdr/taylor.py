@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, Element, mul, norm_float
-from .errors import NoSolution, OrderExceeded, RangeError
+from .errors import NoSolution, OrderExceeded, ParseError, RangeError
 from .gateaux import DEFAULT_CONFIG, DiffConfig, MapEvaluator, gateaux
 from .ncpoly import (
     Const,
@@ -41,11 +41,11 @@ class OdeRhs:
 
     def __post_init__(self) -> None:
         if not self.poly.variables() <= {"x", "h"}:
-            raise ValueError("right-hand side may use only the symbols x and h")
+            raise ParseError("right-hand side may use only the symbols x and h")
         for _, word in self.poly.terms:
             h_count = sum(1 for f in word if isinstance(f, Var) and f.name == "h")
             if h_count != 1:
-                raise ValueError("each word must contain the direction h exactly once")
+                raise ParseError("each word must contain the direction h exactly once")
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def euler_check(
     worst = 0.0
     for _ in range(samples):
         v = alg.element([rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) for _ in range(alg.dim)])
-        fv = f((v,))[0]
+        fv = f((v,))
         residual = norm_float(gateaux(f, v, v, cfg) - k * fv)
         worst = max(worst, residual / max(norm_float(fv), 1e-9))
     return worst

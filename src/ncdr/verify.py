@@ -32,7 +32,7 @@ from .algebra import (
     norm_sq,
 )
 from .dspace import DMatrix, dual_basis
-from .errors import NoSolution, NotRepresentable, Singular
+from .errors import AxiomViolated, NoSolution, NotRepresentable, RangeError, Singular
 from .gateaux import (
     DEFAULT_CONFIG,
     DiffConfig,
@@ -268,6 +268,8 @@ def derivative_table_cases(rng: random.Random):
 
 
 def derivative_table_residuals(rng: random.Random, cfg: DiffConfig, points: int = 100):
+    if points < 1:
+        raise RangeError(f"need at least one point, got {points}")
     worst: dict[str, float] = {}
     for _ in range(points):
         x, h, rows = derivative_table_cases(rng)
@@ -500,7 +502,7 @@ def check_negative_control(rng: random.Random, cfg: DiffConfig) -> tuple[bool, s
             conj_signs=(1, -1, -1, -1),
         )
         return False, "corrupted table was accepted"
-    except ValueError:
+    except AxiomViolated:
         return True, "corrupted table rejected at construction"
 
 

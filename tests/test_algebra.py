@@ -25,7 +25,13 @@ from ncdr.algebra import (
     norm_sq,
     rotate,
 )
-from ncdr.errors import AlgebraMismatch, NotInvertible, ParseError, ZeroParameter
+from ncdr.errors import (
+    AlgebraMismatch,
+    AxiomViolated,
+    NotInvertible,
+    ParseError,
+    ZeroParameter,
+)
 from ncdr.linmap import CoordMatrix, embed_matrix
 
 H = QUATERNIONS
@@ -92,7 +98,7 @@ def test_associativity_on_all_basis_triples():
 def test_corrupted_table_is_rejected():
     C = [[list(v) for v in row] for row in H.structure]
     C[1][2][3] = Fraction(2)  # break i*j = k
-    with pytest.raises(ValueError):
+    with pytest.raises(AxiomViolated):
         AlgebraSpec(
             name="broken",
             dim=4,

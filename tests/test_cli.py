@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from ncdr import cli
 from ncdr.cli import main
 
 
@@ -38,7 +39,7 @@ def test_algebra_check_rejects_corrupted_file(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     code, _, err = run(capsys, "algebra", "check", "--file", str(bad))
     assert code == 1
-    assert "ValueError" in err
+    assert err.startswith("AxiomViolated: ")
 
 
 @pytest.mark.parametrize("text", ["{}", "[1, 2]"])
@@ -234,3 +235,59 @@ def test_non_finite_derivatives_exit_cleanly(capsys, command):
     assert code == 1 and out == ""
     assert err.startswith("NonConvergent:")
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "convert", "--dir", "std2coord", "--matrix", "5"),
+    ("map", "convert", "--dir", "std2coord", "--matrix", "[5]"),
+    ("map", "convert", "--dir", "coord2std", "--matrix", '{"a": [1]}'),
+    ("map", "compose", "--g", "5", "--f", "I4"),
+])
+def test_matrix_spec_must_be_a_list_of_rows(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("ParseError: matrix spec must be a JSON list of rows")
+
+
+@pytest.mark.parametrize("points", ["0", "-5"])
+def test_diff_table_needs_a_point(capsys, points):
+    code, out, err = run(capsys, "diff", "table", "--points", points)
+    assert code == 1 and out == ""
+    assert err.startswith("RangeError: ")
+
+
+def _corrupted_algebra(tmp_path):
+    from ncdr.algebra import QUATERNIONS
+
+    doc = json.loads(QUATERNIONS.to_json())
+    doc["structure"][int("123", 4)] = "2"  # corrupt C[1][2][3]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return str(bad)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("poly", "derive", "--poly", "x^3", "--order", "0"), "RangeError"),
+    (("algebra", "check", "--file", "{missing}"), "ParseError"),
+    (("map", "convert", "--dir", "std2coord", "--matrix", "@{missing}"), "ParseError"),
+    (("map", "convert", "--dir", "std2coord", "--matrix", "[[1,2]]"), "DimensionMismatch"),
+    (("map", "convert", "--dir", "coord2std", "--matrix", "[[1,2]]"), "DimensionMismatch"),
+    (("ode", "solve", "--rhs", "x", "--x0", "0", "--y0", "0"), "ParseError"),
+    (("algebra", "check", "--file", "{corrupted}"), "AxiomViolated"),
+])
+def test_failures_are_typed(tmp_path, capsys, argv, error):
+    paths = {"missing": tmp_path / "missing.json", "corrupted": _corrupted_algebra(tmp_path)}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"{error}: ")
+    assert "Traceback" not in err
+
+
+def test_main_catches_only_ncdr_errors(monkeypatch):
+    # Anything else is a defect and must surface, not pass as a domain error.
+    def broken(**kwargs):
+        raise ValueError("defect")
+
+    monkeypatch.setattr(cli, "run_verify_all", broken)
+    with pytest.raises(ValueError, match="defect"):
+        main(["verify", "all"])

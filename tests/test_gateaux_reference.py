@@ -6,12 +6,13 @@ the same IEEE operation in the same order, so values and error estimates
 must be equal as floats, and the same inputs must raise the same errors
 with the same numbers.  The one intended difference: the reference lets NaN
 and infinity through as derivatives, where the engine raises NonConvergent.
+The reference reads the engine's fixed step schedule (BASE_STEP, RATIO,
+LEVELS, SECOND_ORDER_TOL); only the tolerance of DiffConfig varies.
 """
 
 import importlib
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -34,12 +35,12 @@ from ncdr.gateaux import (
 engine = importlib.import_module("ncdr.gateaux")
 
 
-def reference_richardson(sample, cfg):
-    r2 = cfg.ratio * cfg.ratio
+def reference_richardson(sample):
+    r2 = engine.RATIO * engine.RATIO
     rows = []
-    t = cfg.base_step
-    for k in range(cfg.levels):
-        row = [sample(t / cfg.ratio**k)]
+    t = engine.BASE_STEP
+    for k in range(engine.LEVELS):
+        row = [sample(t / engine.RATIO**k)]
         for m in range(1, k + 1):
             factor = r2**m
             row.append(row[m - 1] + (row[m - 1] - rows[k - 1][m - 1]) / (factor - 1))
@@ -49,8 +50,8 @@ def reference_richardson(sample, cfg):
     return best, err
 
 
-def _flatten(elems):
-    return np.array([float(c) for e in elems for c in e.coords], dtype=float)
+def _flatten(elem):
+    return np.array([float(c) for c in elem.coords], dtype=float)
 
 
 def reference_directional(f, x, a, cfg):
@@ -65,20 +66,20 @@ def reference_directional(f, x, a, cfg):
         return (_flatten(f(shifted(t))) - _flatten(f(shifted(-t)))) / (2.0 * t)
 
     with np.errstate(all="ignore"):
-        value, err = reference_richardson(sample, cfg)
+        value, err = reference_richardson(sample)
     scale = max(1.0, float(np.max(np.abs(value))))
     if err > cfg.rel_tol * scale:
         raise NonConvergent(
             f"extrapolants disagree by {err:.3e} (scale {scale:.3e})",
             error=err,
             scale=scale,
-            step=cfg.base_step,
+            step=engine.BASE_STEP,
         )
     return value, err
 
 
 def reference_second_gateaux(f, x, a1, a2, cfg):
-    outer_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-6))
+    outer_tol = max(cfg.rel_tol, engine.SECOND_ORDER_TOL)
     x, a1, a2 = x.to_float(), a1.to_float(), a2.to_float()
 
     def g(y):
@@ -88,16 +89,16 @@ def reference_second_gateaux(f, x, a1, a2, cfg):
         return (g(x + t * a2) - g(x - t * a2)) / (2.0 * t)
 
     with np.errstate(all="ignore"):
-        value, err = reference_richardson(sample, outer_cfg)
+        value, err = reference_richardson(sample)
     scale = max(1.0, float(np.max(np.abs(value))))
-    if err > outer_cfg.rel_tol * scale:
+    if err > outer_tol * scale:
         raise NonConvergent(
             f"second-order extrapolants disagree by {err:.3e}",
             error=err,
             scale=scale,
-            step=outer_cfg.base_step,
+            step=engine.BASE_STEP,
         )
-    return Element(f.codomain[0], tuple(value.tolist()))
+    return Element(f.codomain, tuple(value.tolist()))
 
 
 def reference_directional_lists(*args):
@@ -187,13 +188,7 @@ algebras = st.one_of(
     st.builds(make_quaternion_algebra, nonunit, nonunit),
 )
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=12)
-configs = st.sampled_from([
-    DiffConfig(),
-    DiffConfig(levels=2),
-    DiffConfig(levels=6),
-    DiffConfig(ratio=3.0, base_step=1e-2),
-    DiffConfig(ratio=1.5, levels=5, rel_tol=1e-10),
-])
+configs = st.sampled_from([DiffConfig(), DiffConfig(rel_tol=1e-10)])
 
 
 @st.composite

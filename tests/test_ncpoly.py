@@ -9,15 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncdr import maps
-from ncdr.algebra import QUATERNIONS, make_quaternion_algebra, mul, norm_float
+from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra, mul, norm_float
 from ncdr.errors import DegreeTooLarge, UnboundSymbol
 from ncdr.gateaux import gateaux
 from ncdr.ncpoly import (
     MAX_DERIVATIVE_WORDS,
     MAX_PRODUCT_WORDS,
     MAX_TAYLOR_WORDS,
+    Const,
     Monomial,
     NCPoly,
+    TaylorExpansion,
     Var,
     WordPoly,
     diagonal,
@@ -324,6 +326,56 @@ def test_taylor_terms_match_polarization(inputs):
     for got, ref in zip(t.terms, want):
         assert extensional_equal(got.to_words("h"), ref.to_words("h"))
     assert extensional_equal(t.reconstruct().to_words(), p.to_words())
+
+
+@st.composite
+def word_poly_pairs(draw):
+    alg = draw(st.sampled_from([H, E, COMPLEX]))
+
+    def factor():
+        # Variables, zero, central scalars and general constants all occur,
+        # so the built words exercise every step of the constant fusion.
+        kind = draw(st.sampled_from(["x", "h", "zero", "scalar", "general", "general"]))
+        if kind in ("x", "h"):
+            return Var(kind)
+        if kind == "zero":
+            return Const(alg.zero)
+        if kind == "scalar":
+            return Const(alg.scalar(draw(small)))
+        return Const(alg.element([draw(small) for _ in range(alg.dim)]))
+
+    def poly():
+        raw = [(draw(small), tuple(factor() for _ in range(draw(st.integers(1, 4)))))
+               for _ in range(draw(st.integers(0, 5)))]
+        return WordPoly.build(alg, raw)
+
+    w1 = poly()
+    # Reusing w1's words makes sums merge and cancel words.
+    w2 = WordPoly.build(alg, list(w1.terms) * draw(st.integers(0, 1)) + list(poly().terms))
+    return w1, w2
+
+
+@given(word_poly_pairs())
+@settings(max_examples=150, deadline=None)
+def test_word_poly_sums_merge_like_build(pair):
+    w1, w2 = pair
+    alg = w1.alg
+    assert w1 + w2 == WordPoly.build(alg, w1.terms + w2.terms)
+    assert w1 - w2 == WordPoly.build(alg, w1.terms + tuple((-c, w) for c, w in w2.terms))
+    assert (w1 - w1).is_zero()
+
+
+@given(taylor_inputs())
+@settings(max_examples=40, deadline=None)
+def test_reconstruct_merges_like_build(inputs):
+    p, y0 = inputs
+    t = taylor_poly(p, y0)
+    alg = y0.alg
+    # reconstruct as it ran before: every term through build again.
+    shift = WordPoly.build(alg, [(Fraction(1), (Var("x"),)), (Fraction(-1), (Const(y0),))])
+    in_h = WordPoly.build(alg, [w for term in t.terms for w in term.to_words("h").terms])
+    assert t.reconstruct() == ncpoly_from_words(in_h.substitute("h", shift), "x")
+    assert TaylorExpansion(y0, ()).reconstruct() == NCPoly(alg, ())
 
 
 def test_taylor_of_zero_polynomial():

@@ -8,7 +8,7 @@ import pytest
 
 from ncdr import maps
 from ncdr.algebra import QUATERNIONS, mul, norm_float
-from ncdr.errors import NoSolution, OrderExceeded, RangeError
+from ncdr.errors import NoSolution, OrderExceeded, ParseError, RangeError
 from ncdr.gateaux import MapEvaluator
 from ncdr.ncpoly import (
     NCPoly,
@@ -42,11 +42,11 @@ def cube_rhs():
 
 
 def test_ode_rhs_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         OdeRhs(wp("x") * wp("x"))  # no h at all
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         OdeRhs(wp("h") * wp("h"))  # h twice
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         OdeRhs(wp("h") * wp("z"))  # foreign symbol
 
 
