@@ -15,7 +15,10 @@ differentiation paths see the same values either way.  The exact kernel
 works on integers: each operand's coordinates become integer numerators over
 the lcm of their denominators, the structure constants integer numerators
 over one denominator cached per algebra, and only the final sum of each
-output coordinate becomes a Fraction, so one gcd normalizes it.
+output coordinate becomes a Fraction, so one gcd normalizes it.  The
+associativity check at construction sums the same integer triples over
+pairs sharing an index, so it costs O(t^2) for t nonzero constants, not
+O(n^5): the 16-dimensional hyper-dual quaternions validate in milliseconds.
 
 Elements are hashed by their coordinates alone, and the hash is cached on
 the element: the canonical forms of `ncpoly` key dictionaries by words of
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -95,29 +99,27 @@ class AlgebraSpec:
                 delta = Fraction(int(r == j))
                 if C[0][r][j] != delta or C[r][0][j] != delta:
                     raise AxiomViolated(f"unit axiom violated at e_0, e_{r}")
-        # Associativity: (e_k e_l) e_m == e_k (e_l e_m) for every basis triple.
-        for k in range(n):
-            for l in range(n):
-                for m in range(n):
-                    for q in range(n):
-                        lhs = sum(C[k][l][p] * C[p][m][q] for p in range(n))
-                        rhs = sum(C[l][m][p] * C[k][p][q] for p in range(n))
-                        if lhs != rhs:
-                            raise AxiomViolated(
-                                f"associativity violated at (e_{k} e_{l}) e_{m}"
-                            )
+        # Associativity: (e_k e_l) e_m == e_k (e_l e_m), as numerators over den^2.
+        diff: defaultdict[tuple[int, int, int, int], int] = defaultdict(int)
+        _, triples = self._int_triples
+        for k, l, p, c1 in triples:
+            for s, m, q, c2 in triples:
+                if s == p:  # (e_k e_l) e_m through e_p
+                    diff[k, l, m, q] += c1 * c2
+                if m == p:  # e_s (e_k e_l) through e_p
+                    diff[s, k, l, q] -= c1 * c2
+        bad = min((key for key, v in diff.items() if v), default=None)
+        if bad is not None:
+            raise AxiomViolated(f"associativity violated at (e_{bad[0]} e_{bad[1]}) e_{bad[2]}")
 
     @cached_property
     def _nonzero_triples(self) -> tuple[tuple[int, int, int, Fraction], ...]:
         # Sparse form of the structure tensor; the hot loop of every product.
-        out = []
-        for k in range(self.dim):
-            for l in range(self.dim):
-                for p in range(self.dim):
-                    c = self.structure[k][l][p]
-                    if c:
-                        out.append((k, l, p, c))
-        return tuple(out)
+        n, C = self.dim, self.structure
+        return tuple(
+            (k, l, p, C[k][l][p])
+            for k in range(n) for l in range(n) for p in range(n) if C[k][l][p]
+        )
 
     @cached_property
     def _float_triples(self) -> tuple[tuple[int, int, int, float], ...]:
@@ -312,7 +314,9 @@ def conj(x: Element) -> Element:
     signs = x.alg.conj_signs
     if signs is None:
         raise WrongDimension(f"algebra {x.alg.name} defines no conjugation")
-    return Element(x.alg, tuple(s * c for s, c in zip(signs, x.coords)))
+    # Negation skips the gcd that a product with -1 costs.
+    return Element(x.alg, tuple([c if s == 1 else -c if s == -1 else s * c
+                                 for s, c in zip(signs, x.coords)]))
 
 
 def norm_sq(x: Element) -> ScalarLike:

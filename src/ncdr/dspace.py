@@ -166,27 +166,19 @@ def dmatrix_inverse(A: DMatrix) -> DMatrix:
     alg = A.alg
     n = alg.dim
     r = rows
-    big = [[Fraction(0)] * (n * r) for _ in range(n * r)]
-    for i in range(r):
-        for j in range(r):
-            block = embed_matrix(A.entries[i][j]).mat
-            for bi in range(n):
-                for bj in range(n):
-                    big[n * i + bi][n * j + bj] = Fraction(block[bi][bj])
+    blocks = [[embed_matrix(e).mat for e in row] for row in A.entries]
+    big = [[v for block in brow for v in block[bi]] for brow in blocks for bi in range(n)]
     inv = exactla.inverse(big)  # Singular propagates
     out = []
     for i in range(r):
         row = []
         for j in range(r):
-            coords = [inv[n * i + bi][n * j] for bi in range(n)]
-            candidate = alg.element(coords)
+            candidate = alg.element([inv[n * i + bi][n * j] for bi in range(n)])
             pattern = embed_matrix(candidate).mat
-            for bi in range(n):
-                for bj in range(n):
-                    if inv[n * i + bi][n * j + bj] != pattern[bi][bj]:
-                        raise NotQuaternionBlock(
-                            f"inverse block ({i},{j}) is not a left-action matrix"
-                        )
+            if any(inv[n * i + bi][n * j : n * j + n] != list(pattern[bi]) for bi in range(n)):
+                raise NotQuaternionBlock(
+                    f"inverse block ({i},{j}) is not a left-action matrix"
+                )
             row.append(candidate)
         out.append(tuple(row))
     return DMatrix(tuple(out))

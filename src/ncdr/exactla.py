@@ -32,24 +32,32 @@ def numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _dot_rows(A: Matrix, cols: list[tuple[list[int], int]]) -> Matrix:
-    """Rows of A times columns given as numerators(): per entry one integer
-    dot product over A's nonzero terms, over the product of the denominators."""
-    out = []
-    for row in A:
-        nums, d = numerators(row)
-        terms = [(k, a) for k, a in enumerate(nums) if a]
-        out.append([Fraction(sum([a * bn[k] for k, a in terms]), d * db) for bn, db in cols])
-    return out
+def int_rows(A: Matrix) -> list[tuple[list[tuple[int, int]], int]]:
+    """Each row of A as its nonzero (column, integer numerator) pairs and its lcm."""
+    return [([(k, a) for k, a in enumerate(nums) if a], d) for nums, d in map(numerators, A)]
+
+
+def _dot_rows(rows: list, cols: list[tuple[list[int], int]]) -> Matrix:
+    """Integer rows times columns given as numerators(): per entry one integer
+    dot product over the row's nonzero terms, over the product of the denominators."""
+    return [
+        [Fraction(sum([a * bn[k] for k, a in terms]), d * db) for bn, db in cols]
+        for terms, d in rows
+    ]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     assert len(A[0]) == len(B)
-    return _dot_rows(A, [numerators(col) for col in zip(*B)])
+    return _dot_rows(int_rows(A), [numerators(col) for col in zip(*B)])
 
 
 def mat_vec(A: Matrix, v: Vector) -> Vector:
-    return [row[0] for row in _dot_rows(A, [numerators(v)])]
+    return rows_vec(int_rows(A), v)
+
+
+def rows_vec(rows: list, v: Vector) -> Vector:
+    """mat_vec over rows already converted by int_rows."""
+    return [row[0] for row in _dot_rows(rows, [numerators(v)])]
 
 
 def _integerize_rows(M: Matrix) -> tuple[list[list[int]], list[int]]:

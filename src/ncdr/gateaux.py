@@ -33,6 +33,7 @@ from .algebra import AlgebraSpec, Element, inverse, mul, norm_float, norm_sq
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    NcdrError,
     NonConvergent,
     NotRepresentable,
     RangeError,
@@ -157,9 +158,17 @@ def _directional(
         plus, minus = f(shifted(t)).coords, f(shifted(-t)).coords
         return [(float(p) - float(m)) / (2.0 * t) for p, m in zip(plus, minus)]
 
-    return _richardson(
-        sample, cfg.rel_tol, "extrapolants disagree by {error:.3e} (scale {scale:.3e})"
-    )
+    try:
+        return _richardson(
+            sample, cfg.rel_tol, "extrapolants disagree by {error:.3e} (scale {scale:.3e})"
+        )
+    except NonConvergent as exc:
+        # A pole at x itself (an inverse at 0) only shows as disagreement.
+        try:
+            f(x)
+        except NcdrError as cause:
+            raise cause from exc
+        raise
 
 
 def gateaux_with_error(

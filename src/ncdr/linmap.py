@@ -5,13 +5,20 @@ the same map acts on coordinates through the matrix f^j_i.  The n^2 x n^2
 structure contraction ("big C") converts one into the other; its rank decides
 whether a coordinate matrix is representable at all and whether the standard
 components are unique.
+
+The exact layer runs on integers.  big_c keeps mat and its inverse as integer
+rows, so std_to_coord and an invertible coord_to_std are one row-vector product
+each; compose_std and embed_matrix sum numerators over the structure triples.
+Only final entries become Fractions.  Float components (least-squares
+differentials) make std_to_coord sum float(constant) * float(component) in
+(k, r) order over the nonzero constants.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Literal, Sequence
@@ -117,13 +124,20 @@ def embed_matrix(a: Element) -> CoordMatrix:
     """Left-multiplication matrix J_a, the coordinate matrix of x -> a*x.
 
     Column l holds the coordinates of a*e_l.  J is a ring homomorphism:
-    J_a J_b = J_{ab} and J_{a+b} = J_a + J_b.
+    J_a J_b = J_{ab} and J_{a+b} = J_a + J_b.  Exact coordinates only.
     """
     n = a.alg.dim
-    J = [[Fraction(0)] * n for _ in range(n)]
-    for k, l, p, c in a.alg._nonzero_triples:
-        J[p][l] += a.coords[k] * c
-    return CoordMatrix(a.alg, tuple(tuple(row) for row in J))
+    an, da = exactla.numerators(a.coords)
+    den, triples = a.alg._int_triples
+    J = [0] * (n * n)
+    for k, l, p, c in triples:
+        if an[k]:
+            J[p * n + l] += an[k] * c
+    return CoordMatrix(a.alg, _square([Fraction(v, den * da) for v in J], n))
+
+
+def _square(flat: Sequence, n: int) -> Grid:
+    return tuple(tuple(flat[j * n : j * n + n]) for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -133,6 +147,8 @@ class BigC:
     Row index (j, i) flattens to j*n + i; column index (k, r) to k*n + r, so
     vec(coordinate matrix) = mat @ vec(standard components).  When singular,
     zero_map_kernel holds standard-component grids spanning the zero map.
+    mat_rows and inv_rows hold mat and inv as exactla.int_rows, the integer
+    rows that the exact conversions multiply with.
     """
 
     alg: AlgebraSpec
@@ -141,6 +157,8 @@ class BigC:
     det: Fraction
     zero_map_kernel: tuple[Grid, ...]
     inv: Grid | None
+    mat_rows: list = field(repr=False, compare=False)
+    inv_rows: list | None = field(repr=False, compare=False)
 
     @cached_property
     def float_mat(self) -> np.ndarray:
@@ -163,47 +181,44 @@ class BigC:
 @lru_cache(maxsize=None)
 def big_c(alg: AlgebraSpec) -> BigC:
     n = alg.dim
-    C = alg.structure
     size = n * n
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(n):
-        for i in range(n):
-            for k in range(n):
-                for r in range(n):
-                    mat[j * n + i][k * n + r] = sum(
-                        (C[k][i][p] * C[p][r][j] for p in range(n)), Fraction(0)
-                    )
+    den, triples = alg._int_triples
+    acc = [[0] * size for _ in range(size)]
+    for k, i, p, c1 in triples:
+        for s, r, j, c2 in triples:
+            if s == p:
+                acc[j * n + i][k * n + r] += c1 * c2
+    mat = [[Fraction(v, den * den) for v in row] for row in acc]
     elim = exactla.eliminate_square(mat)
     return BigC(
         alg=alg,
         mat=tuple(tuple(row) for row in mat),
         rank=elim.rank,
         det=elim.det,
-        zero_map_kernel=tuple(
-            tuple(tuple(v[k * n + r] for r in range(n)) for k in range(n))
-            for v in elim.kernel
-        ),
+        zero_map_kernel=tuple(_square(v, n) for v in elim.kernel),
         inv=None if elim.inverse is None else tuple(tuple(row) for row in elim.inverse),
+        mat_rows=exactla.int_rows(mat),
+        inv_rows=None if elim.inverse is None else exactla.int_rows(elim.inverse),
     )
 
 
 def std_to_coord(f: StdComponents) -> CoordMatrix:
-    """f^j_i = sum f^{kr} C[k][i][p] C[p][r][j], the exact contraction."""
+    """f^j_i = sum f^{kr} C[k][i][p] C[p][r][j]; floats if any f^{kr} is one."""
     alg = f.alg
     n = alg.dim
-    B = big_c(alg).mat
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            acc = Fraction(0)
-            row = B[j * n + i]
-            for k in range(n):
-                for r in range(n):
-                    c = row[k * n + r]
-                    if c:
-                        acc += c * f.comps[k][r]
-            out[j][i] = acc
-    return CoordMatrix(alg, tuple(tuple(r) for r in out))
+    flat = [v for row in f.comps for v in row]
+    rows = big_c(alg).mat_rows
+    if float in map(type, flat):
+        flat = [float(v) for v in flat]
+        out = []
+        for terms, den in rows:
+            acc = 0.0
+            for c, a in terms:
+                acc += a / den * flat[c]
+            out.append(acc)
+    else:
+        out = exactla.rows_vec(rows, flat)
+    return CoordMatrix(alg, _square(out, n))
 
 
 @dataclass(frozen=True)
@@ -225,7 +240,7 @@ def coord_to_std(m: CoordMatrix) -> StdSolution:
     B = big_c(alg)
     rhs = [m.mat[j][i] for j in range(n) for i in range(n)]
     if B.inv is not None:
-        x = exactla.mat_vec([list(r) for r in B.inv], rhs)
+        x = exactla.rows_vec(B.inv_rows, rhs)
         unique = True
     else:
         x = exactla.min_norm_solution([list(r) for r in B.mat], rhs)
@@ -234,8 +249,7 @@ def coord_to_std(m: CoordMatrix) -> StdSolution:
                 "coordinate matrix lies outside the representable subspace"
             )
         unique = False
-    comps = tuple(tuple(x[k * n + r] for r in range(n)) for k in range(n))
-    return StdSolution(StdComponents(alg, comps), unique)
+    return StdSolution(StdComponents(alg, _square(x, n)), unique)
 
 
 def eval_std(f: StdComponents, x: Element) -> Element:
@@ -258,14 +272,17 @@ def compose_std(g: StdComponents, f: StdComponents) -> StdComponents:
         raise AlgebraMismatch("maps over different algebras")
     alg = g.alg
     n = alg.dim
-    out = [[Fraction(0)] * n for _ in range(n)]
-    triples = alg._nonzero_triples
+    gn, gd = exactla.numerators([v for row in g.comps for v in row])
+    fn, fd = exactla.numerators([v for row in f.comps for v in row])
+    den, triples = alg._int_triples
+    acc = [0] * (n * n)
     for i, k, p, c1 in triples:
+        gi, fk = gn[i * n : i * n + n], fn[k * n : k * n + n]
         for l, j, r, c2 in triples:
-            v = g.comps[i][j] * f.comps[k][l]
+            v = gi[j] * fk[l]
             if v:
-                out[p][r] += v * c1 * c2
-    return StdComponents(alg, tuple(tuple(r) for r in out))
+                acc[p * n + r] += v * c1 * c2
+    return StdComponents(alg, _square([Fraction(v, gd * fd * den * den) for v in acc], n))
 
 
 @dataclass(frozen=True)

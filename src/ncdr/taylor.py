@@ -70,8 +70,10 @@ def solve_ode_taylor(
 
     Raises NoSolution when a higher derivative fails direction-symmetry (the
     equation is then inconsistent), OrderExceeded when the derivative chain
-    does not vanish by max_order.
+    does not vanish by max_order, and RangeError when max_order < 1.
     """
+    if max_order < 1:
+        raise RangeError(f"max_order must be at least 1, got {max_order}")
     alg = x0.alg
     d = rhs.poly.rename({"h": "h1"})
     derivatives = [d]

@@ -107,6 +107,47 @@ def test_corrupted_table_is_rejected():
         )
 
 
+def dual_extension(D: AlgebraSpec) -> AlgebraSpec:
+    """D[eps] = D (x) R[eps]/(eps^2) on the basis e_0..e_{n-1}, eps e_0..eps e_{n-1}."""
+    n = D.dim
+    C = [[[Fraction(0)] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
+    for k in range(n):
+        for l in range(n):
+            for p in range(n):
+                c = D.structure[k][l][p]
+                C[k][l][p] = C[k][n + l][n + p] = C[n + k][l][n + p] = c
+    signs = D.conj_signs and D.conj_signs * 2
+    return AlgebraSpec(
+        name=f"{D.name}[eps]",
+        dim=2 * n,
+        structure=tuple(tuple(tuple(v) for v in row) for row in C),
+        conj_signs=signs,
+    )
+
+
+def test_dual_extensions_validate():
+    # H[eps] (dim 8) and the hyper-dual H[eps1, eps2] (dim 16) pass the unit
+    # and associativity checks over their sparse triples.
+    dual = dual_extension(H)
+    hyper = dual_extension(dual)
+    assert (dual.dim, hyper.dim) == (8, 16)
+    assert len(hyper._nonzero_triples) == 9 * len(H._nonzero_triples)
+    # (x + eps a)^2 = x^2 + eps (x a + a x).
+    x, a = H.element([1, 2, -1, 3]), H.element([Fraction(1, 2), 0, 4, -1])
+    y = mul(dual.element(x.coords + a.coords), dual.element(x.coords + a.coords))
+    assert y.coords == mul(x, x).coords + (mul(x, a) + mul(a, x)).coords
+    # One corrupted entry, eps i * j = 2 eps k instead of eps k, breaks them.
+    for alg in (dual, hyper):
+        C = [[list(v) for v in row] for row in alg.structure]
+        C[alg.dim // 2 + 1][2][alg.dim // 2 + 3] = Fraction(2)
+        with pytest.raises(AxiomViolated, match="associativity"):
+            AlgebraSpec(
+                name="broken",
+                dim=alg.dim,
+                structure=tuple(tuple(tuple(v) for v in row) for row in C),
+            )
+
+
 def test_mul_examples():
     assert mul(I, J) == K
     x = H.element([2, -1, Fraction(1, 2), 3])

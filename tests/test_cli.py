@@ -274,6 +274,9 @@ def _corrupted_algebra(tmp_path):
     (("map", "convert", "--dir", "coord2std", "--matrix", "[[1,2]]"), "DimensionMismatch"),
     (("ode", "solve", "--rhs", "x", "--x0", "0", "--y0", "0"), "ParseError"),
     (("algebra", "check", "--file", "{corrupted}"), "AxiomViolated"),
+    (("diff", "jacobian", "--map", "inverse", "--at", "0"), "NotInvertible"),
+    (("ode", "solve", "--rhs", "h", "--x0", "0", "--y0", "0", "--max-order", "-3"), "RangeError"),
+    (("ode", "solve", "--rhs", "h", "--x0", "0", "--y0", "0", "--max-order", "0"), "RangeError"),
 ])
 def test_failures_are_typed(tmp_path, capsys, argv, error):
     paths = {"missing": tmp_path / "missing.json", "corrupted": _corrupted_algebra(tmp_path)}

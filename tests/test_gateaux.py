@@ -382,6 +382,21 @@ def test_zero_direction_still_needs_f_defined_at_x():
         gateaux(maps.cube(H), H.element([10**110, 0, 0, 0]), H.zero)
 
 
+def test_pole_at_the_point_names_its_cause():
+    # The stencil never evaluates f at x, so a pole there first shows as
+    # disagreeing extrapolants; f(x), evaluated once, names the cause.
+    with pytest.raises(NotInvertible) as info:
+        gateaux(maps.invert(H), H.zero, I)
+    assert isinstance(info.value.__cause__, NonConvergent)
+    with pytest.raises(NotInvertible):
+        jacobian(maps.invert(H), H.zero)
+    # A converging derivative costs no evaluation at x.
+    calls = []
+    counted = MapEvaluator.unary(H, lambda x: calls.append(x) or mul(x, x))
+    gateaux(counted, ONE, I)
+    assert len(calls) == 2 * LEVELS
+
+
 def test_chain_rule_at_large_point_meets_tolerance():
     # x^9 at |x| = 4: both sides near 5e5, so 1e-7 absolute asks for about
     # 1e-13 relative; the power-of-two steps keep the differences exact

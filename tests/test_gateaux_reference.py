@@ -6,6 +6,9 @@ the same IEEE operation in the same order, so values and error estimates
 must be equal as floats, and the same inputs must raise the same errors
 with the same numbers.  The one intended difference: the reference lets NaN
 and infinity through as derivatives, where the engine raises NonConvergent.
+Where the extrapolants disagree, both evaluate f at x once and raise the
+error f raises there, so that a pole at x is named rather than reported as
+non-convergence.
 The reference reads the engine's fixed step schedule (BASE_STEP, RATIO,
 LEVELS, SECOND_ORDER_TOL); only the tolerance of DiffConfig varies.
 """
@@ -69,12 +72,17 @@ def reference_directional(f, x, a, cfg):
         value, err = reference_richardson(sample)
     scale = max(1.0, float(np.max(np.abs(value))))
     if err > cfg.rel_tol * scale:
-        raise NonConvergent(
+        exc = NonConvergent(
             f"extrapolants disagree by {err:.3e} (scale {scale:.3e})",
             error=err,
             scale=scale,
             step=engine.BASE_STEP,
         )
+        try:
+            f(x)
+        except NcdrError as cause:
+            raise cause from exc
+        raise exc
     return value, err
 
 

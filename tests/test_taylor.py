@@ -84,6 +84,12 @@ def test_ode_order_exceeded():
         solve_ode_taylor(cube_rhs(), H.zero, H.zero, max_order=2)
 
 
+def test_ode_max_order_must_be_positive():
+    for max_order in (0, -3):
+        with pytest.raises(RangeError):
+            solve_ode_taylor(cube_rhs(), H.zero, H.zero, max_order=max_order)
+
+
 def test_ode_solution_satisfies_equation():
     rhs = cube_rhs()
     x0 = H.element([1, 0, Fraction(1, 2), 0])
