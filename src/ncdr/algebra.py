@@ -5,35 +5,27 @@ e_k * e_l = sum_p C[k][l][p] * e_p, with e_0 acting as the unit.  The two
 canonical instances are the quaternion algebras E(F, a, b) and the complex
 field viewed as a 2-dimensional real algebra.
 
-Products run on one of two scalar kernels, picked by the operands' types:
-when either operand holds a float coordinate, `mul` converts both coordinate
-tuples to float once and accumulates float products over a float copy of the
-structure tensor, so the result holds only floats; otherwise it multiplies
-exactly.  The float kernel rounds each term as float(a) * float(b) *
-float(c), exactly as mixed Fraction/float arithmetic would, so the numeric
-differentiation paths see the same values either way.  The exact kernel
-works on integers: each operand's coordinates become integer numerators over
-the lcm of their denominators, the structure constants integer numerators
-over one denominator cached per algebra, and only the final sum of each
-output coordinate becomes a Fraction, so one gcd normalizes it.  The
-associativity check at construction sums the same integer triples over
-pairs sharing an index, so it costs O(t^2) for t nonzero constants, not
-O(n^5): the 16-dimensional hyper-dual quaternions validate in milliseconds.
-
-Elements are hashed by their coordinates alone, and the hash is cached on
-the element: the canonical forms of `ncpoly` key dictionaries by words of
-constant elements, and an uncached Fraction hash costs a modular inverse.
+An element is exact or float, fixed when it is built.  Exact arithmetic runs
+on integer numerators over one denominator, as do the structure constants
+(cached per algebra): a product sums numerator products, and one gcd reduces
+it.  Fraction coordinates are built only when read.  A float operand sends a
+product to the float kernel, which rounds each term as float(a) * float(b) *
+float(c), exactly as mixed Fraction/float arithmetic would.  The
+associativity check at construction sums the same integer triples over pairs
+sharing an index, so it costs O(t^2) for t nonzero constants, not O(n^5).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from operator import add, attrgetter, sub
+from typing import Callable, Sequence, Union
 
 from .errors import (
     AlgebraMismatch,
@@ -44,18 +36,17 @@ from .errors import (
     WrongDimension,
     ZeroParameter,
 )
-from .exactla import numerators
 
 # Exact scalar of the algebraic kernel.  Numeric paths substitute float.
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, float]
 
+_MODULUS = sys.hash_info.modulus
+
 
 def as_scalar(value: ScalarLike) -> ScalarLike:
     """Normalize ints and rational strings to Fraction; floats pass through."""
-    if isinstance(value, float):
-        return value
-    if isinstance(value, Fraction):
+    if isinstance(value, (float, Fraction)):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -141,11 +132,13 @@ class AlgebraSpec:
         return Element(self, tuple(as_scalar(c) for c in coords))
 
     def basis(self, i: int) -> "Element":
-        return self.element([Fraction(int(j == i)) for j in range(self.dim)])
+        return _exact(self, tuple([int(j == i) for j in range(self.dim)]), 1)
 
     def scalar(self, value: ScalarLike) -> "Element":
-        coords = [as_scalar(value)] + [Fraction(0)] * (self.dim - 1)
-        return self.element(coords)
+        v = as_scalar(value)
+        if isinstance(v, float):
+            return self.element([v] + [Fraction(0)] * (self.dim - 1))
+        return _exact(self, (v.numerator,) + (0,) * (self.dim - 1), v.denominator)
 
     @property
     def zero(self) -> "Element":
@@ -158,12 +151,7 @@ class AlgebraSpec:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        flat = [
-            str(self.structure[k][l][p])
-            for k in range(self.dim)
-            for l in range(self.dim)
-            for p in range(self.dim)
-        ]
+        flat = [str(v) for plane in self.structure for row in plane for v in row]
         doc = {
             "name": self.name,
             "dim": self.dim,
@@ -201,64 +189,117 @@ class AlgebraSpec:
         return cls(name=name, dim=n, structure=C, conj_signs=signs or None)
 
 
-@dataclass(frozen=True)
-class Element:
-    """An algebra element as its coordinate vector over the scalar field."""
+def _frozen(self: "Element", value: object) -> None:
+    raise FrozenInstanceError("cannot assign to an Element's algebra or coordinates")
 
-    alg: AlgebraSpec
-    coords: tuple[ScalarLike, ...]
+
+class Element:
+    """An algebra element as its coordinate vector over the scalar field.
+
+    Coordinates holding a float (anything without a denominator) build a
+    float element, which keeps them as given and has `_ints` None.  Others
+    build an exact element: `_ints` is (numerators, den) with den > 0 and
+    gcd(den, *numerators) == 1, and `coords` is a Fraction view built on
+    first read and cached (given coordinates are kept as it).  Elements are
+    frozen, and compare and hash as their coordinate tuples do; the cached
+    hash of an exact element takes one modular inverse, as
+    hash(Fraction(v, d)) == hash(v * pow(d, -1, P)).
+    """
+
+    __slots__ = ("_alg", "_ints", "_coords", "_hash")
+
+    def __init__(self, alg: AlgebraSpec, coords: Sequence[ScalarLike]) -> None:
+        self._alg, self._coords, self._hash = alg, tuple(coords), None
+        try:  # floats have no denominator
+            den = math.lcm(*[c.denominator for c in self._coords])
+        except AttributeError:
+            self._ints = None
+        else:  # over the lcm of the reduced denominators, gcd(den, *num) == 1
+            self._ints = tuple([c.numerator * (den // c.denominator) for c in self._coords]), den
+
+    alg = property(attrgetter("_alg"), _frozen)
+
+    @property
+    def coords(self) -> tuple[ScalarLike, ...]:
+        c = self._coords
+        if c is None:
+            num, den = self._ints
+            c = self._coords = tuple([Fraction(v, den) for v in num])
+        return c
+
+    @coords.setter
+    def coords(self, value: object) -> None:
+        _frozen(self, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Element:
+            return NotImplemented
+        if self._alg is not other._alg and self._alg != other._alg:
+            return False
+        a, b = self._ints, other._ints
+        if a is None or b is None:
+            return self.coords == other.coords
+        return a == b
 
     def __hash__(self) -> int:
-        # Cached, since a Fraction's hash costs a modular inverse.  Taken from
-        # the coordinates alone: Fraction, int and float hashes are the same
-        # in every process, so a pickled or copied element keeps a valid one.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash(self.coords)
-            return h
+        if self._hash is None:
+            ints = self._ints
+            if ints is None or ints[1] % _MODULUS == 0:
+                self._hash = hash(self.coords)
+            else:
+                inv = pow(ints[1], -1, _MODULUS)
+                self._hash = hash(tuple([v * inv for v in ints[0]]))
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return Element, (self._alg, self.coords)
+
+    def __repr__(self) -> str:
+        return f"Element(alg={self._alg!r}, coords={self.coords!r})"
 
     def _check_same(self, other: "Element") -> None:
-        if self.alg is not other.alg and self.alg != other.alg:
-            raise AlgebraMismatch(
-                f"elements of {self.alg.name} and {other.alg.name} cannot mix"
-            )
+        if self._alg is not other._alg and self._alg != other._alg:
+            raise AlgebraMismatch(f"elements of {self._alg.name} and {other._alg.name} cannot mix")
 
     def __add__(self, other: "Element") -> "Element":
-        self._check_same(other)
-        return Element(self.alg, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _combine(self, other, add)
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check_same(other)
-        return Element(self.alg, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _combine(self, other, sub)
 
     def __neg__(self) -> "Element":
-        return Element(self.alg, tuple(-a for a in self.coords))
+        ints = self._ints
+        if ints is None:
+            return _float_element(self._alg, tuple([-a for a in self._coords]))
+        return _exact(self._alg, tuple([-v for v in ints[0]]), ints[1])
 
     def __mul__(self, other: object) -> "Element":
-        if isinstance(other, Element):
-            return mul(self, other)
-        if isinstance(other, (int, Fraction, float)):
-            return Element(self.alg, tuple(a * other for a in self.coords))
-        return NotImplemented
+        return mul(self, other) if isinstance(other, Element) else self._scaled(other)
 
-    def __rmul__(self, other: object) -> "Element":
-        if isinstance(other, (int, Fraction, float)):
-            return Element(self.alg, tuple(other * a for a in self.coords))
-        return NotImplemented
+    def _scaled(self, s: object) -> "Element":
+        if not isinstance(s, (int, Fraction, float)):
+            return NotImplemented
+        if self._ints is None:
+            return _float_element(self._alg, tuple([a * s for a in self._coords]))
+        if isinstance(s, float):
+            return _float_element(self._alg, tuple([a * s for a in _float_coords(self)]))
+        return _times(self, s.numerator, s.denominator)
+
+    __rmul__ = _scaled  # scalars commute with every coordinate, floats included
 
     def __truediv__(self, other: object) -> "Element":
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         if isinstance(other, float):
             return self * (1.0 / other)
         return NotImplemented
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        ints = self._ints
+        return any(self._coords if ints is None else ints[0])
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self
 
     def conj(self) -> "Element":
         return conj(self)
@@ -270,68 +311,127 @@ class Element:
         return inverse(self)
 
     def to_float(self) -> "Element":
-        return Element(self.alg, tuple(float(c) for c in self.coords))
+        return _float_element(self._alg, _float_coords(self))
 
     def __str__(self) -> str:
         return format_element(self)
 
 
+_new = object.__new__
+
+
+def _exact(alg: AlgebraSpec, num: tuple[int, ...], den: int) -> Element:
+    """An exact element of numerators over den > 0 with gcd(den, *num) == 1."""
+    e = _new(Element)
+    e._alg, e._ints, e._coords, e._hash = alg, (num, den), None, None
+    return e
+
+
+def _reduced(alg: AlgebraSpec, num: list[int], den: int) -> Element:
+    """An exact element of numerators over den > 0, reduced by one gcd."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [v // g for v in num]
+        den //= g
+    return _exact(alg, tuple(num), den)
+
+
+def _combine(x: Element, y: Element, op: Callable) -> Element:
+    """x + y or x - y, coordinate by coordinate."""
+    x._check_same(y)
+    a, b = x._ints, y._ints
+    if a is None or b is None:
+        return _float_element(x._alg, tuple(map(op, x.coords, y.coords)))
+    (an, ad), (bn, bd) = a, b
+    if ad != bd:
+        an, bn, ad = [v * bd for v in an], [v * ad for v in bn], ad * bd
+    return _reduced(x._alg, list(map(op, an, bn)), ad)
+
+
+def _times(x: Element, p: int, q: int) -> Element:
+    """Exact x times p / q, q > 0."""
+    num, den = x._ints
+    return _reduced(x._alg, [v * p for v in num], den * q)
+
+
+def _float_element(alg: AlgebraSpec, coords: tuple) -> Element:
+    """A float element of a coordinate tuple that holds a float; no type check."""
+    e = _new(Element)
+    e._alg, e._ints, e._coords, e._hash = alg, None, coords, None
+    return e
+
+
+def _float_coords(x: Element) -> tuple[float, ...]:
+    """The coordinates as floats; v / den rounds as float(Fraction(v, den)) does."""
+    if x._ints is None:
+        return tuple(map(float, x._coords))
+    num, den = x._ints
+    return tuple([v / den for v in num])
+
+
 def mul(x: Element, y: Element) -> Element:
     """Product via structure constants: (xy)^p = sum x^k y^l C[k][l][p].
 
-    A float coordinate in either operand selects the float kernel.  Exact
-    operands are scaled to integer numerators over one denominator each and
-    multiplied over the integer structure triples; each output coordinate is
-    one Fraction of the integer sum over the product of the denominators.
+    A float operand selects the float kernel: both coordinate tuples become
+    floats and the products accumulate over the float triples.  Otherwise
+    the integer numerators of both operands run over the integer triples;
+    the sums over the product of the three denominators are reduced by one
+    gcd, and no Fraction is built.
     """
     x._check_same(y)
-    xc, yc = x.coords, y.coords
-    if float in map(type, xc) or float in map(type, yc):
-        xf = tuple(map(float, xc))
-        yf = tuple(map(float, yc))
-        acc = [0.0] * x.alg.dim
-        for k, l, p, c in x.alg._float_triples:
+    alg = x._alg
+    xi, yi = x._ints, y._ints
+    if xi is None or yi is None:
+        xf = _float_coords(x)
+        yf = _float_coords(y)
+        acc = [0.0] * alg.dim
+        for k, l, p, c in alg._float_triples:
             a = xf[k]
             b = yf[l]
             if a and b:
                 acc[p] += a * b * c
-        return Element(x.alg, tuple(acc))
-    xn, dx = numerators(xc)
-    yn, dy = numerators(yc)
-    den, triples = x.alg._int_triples
-    acc = [0] * x.alg.dim
+        return _float_element(alg, tuple(acc))
+    (xn, dx), (yn, dy) = xi, yi
+    den, triples = alg._int_triples
+    acc = [0] * alg.dim
     for k, l, p, c in triples:
         a = xn[k]
         b = yn[l]
         if a and b:
             acc[p] += a * b * c
-    den *= dx * dy
-    return Element(x.alg, tuple([Fraction(v, den) for v in acc]))
+    return _reduced(alg, acc, den * dx * dy)
 
 
 def conj(x: Element) -> Element:
     """Conjugate: unit coordinate kept, pure coordinates negated."""
-    signs = x.alg.conj_signs
+    signs = x._alg.conj_signs
     if signs is None:
-        raise WrongDimension(f"algebra {x.alg.name} defines no conjugation")
-    # Negation skips the gcd that a product with -1 costs.
-    return Element(x.alg, tuple([c if s == 1 else -c if s == -1 else s * c
-                                 for s, c in zip(signs, x.coords)]))
+        raise WrongDimension(f"algebra {x._alg.name} defines no conjugation")
+    if x._ints is None:
+        return _float_element(x._alg, tuple([c if s == 1 else -c if s == -1 else s * c
+                                             for s, c in zip(signs, x._coords)]))
+    num, den = x._ints
+    return _reduced(x._alg, [s * v for s, v in zip(signs, num)], den)
 
 
 def norm_sq(x: Element) -> ScalarLike:
     """Norm squared |x|^2 = x * conj(x), read off the unit coordinate."""
-    return mul(x, conj(x)).coords[0]
+    m = mul(x, conj(x))
+    ints = m._ints
+    return m._coords[0] if ints is None else Fraction(ints[0][0], ints[1])
 
 
 def inverse(x: Element) -> Element:
     """x^{-1} = conj(x) / |x|^2; NotInvertible on zero norm."""
-    n = norm_sq(x)
+    m = mul(x, conj(x))
+    ints = m._ints
+    n = m._coords[0] if ints is None else ints[0][0]
     if not n:
         raise NotInvertible(f"{format_element(x)} has zero norm")
-    if isinstance(n, float):
+    if ints is None:
         return conj(x) * (1.0 / n)
-    return conj(x) * (Fraction(1) / Fraction(n))
+    s = -1 if n < 0 else 1  # |x|^2 = n / den, so x^{-1} = conj(x) * den / n
+    return _times(conj(x), s * ints[1], s * n)
 
 
 def rotate(q: Element, p: Element) -> Element:
@@ -345,7 +445,7 @@ def rotate(q: Element, p: Element) -> Element:
 
 def norm_float(x: Element) -> float:
     """Euclidean length of the coordinate vector, for float tolerance checks."""
-    return math.sqrt(sum(float(c) * float(c) for c in x.coords))
+    return math.sqrt(sum(c * c for c in _float_coords(x)))
 
 
 def make_quaternion_algebra(a: ScalarLike, b: ScalarLike, name: str | None = None) -> AlgebraSpec:
@@ -360,28 +460,14 @@ def make_quaternion_algebra(a: ScalarLike, b: ScalarLike, name: str | None = Non
         raise TypeError("quaternion parameters must be exact rationals")
     if a * b == 0:
         raise ZeroParameter("quaternion algebra requires a*b != 0")
-    n = 4
+    n, one = 4, Fraction(1)
     C = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-
-    def put(k: int, l: int, coords: dict[int, Fraction]) -> None:
-        for p, v in coords.items():
-            C[k][l][p] = v
-
-    one = Fraction(1)
     for r in range(n):
-        C[0][r][r] = one
-        if r:
-            C[r][0][r] = one
-    # Multiplication table of i, j, k (rows act from the left).
-    put(1, 1, {0: a})
-    put(1, 2, {3: one})
-    put(1, 3, {2: a})
-    put(2, 1, {3: -one})
-    put(2, 2, {0: b})
-    put(2, 3, {1: -b})
-    put(3, 1, {2: -a})
-    put(3, 2, {1: b})
-    put(3, 3, {0: -a * b})
+        C[0][r][r] = C[r][0][r] = one
+    # Multiplication table of i, j, k (rows act from the left): e_k e_l = v e_p.
+    for k, l, p, v in [(1, 1, 0, a), (1, 2, 3, one), (1, 3, 2, a), (2, 1, 3, -one), (2, 2, 0, b),
+                       (2, 3, 1, -b), (3, 1, 2, -a), (3, 2, 1, b), (3, 3, 0, -a * b)]:
+        C[k][l][p] = v
     if name is None:
         name = "H" if a == -1 and b == -1 else f"E({a},{b})"
     return AlgebraSpec(
@@ -394,12 +480,8 @@ def make_quaternion_algebra(a: ScalarLike, b: ScalarLike, name: str | None = Non
 
 def make_complex_algebra() -> AlgebraSpec:
     """The complex field as a 2-dimensional real algebra: e_1^2 = -e_0."""
-    one = Fraction(1)
-    zero = Fraction(0)
-    C = (
-        ((one, zero), (zero, one)),
-        ((zero, one), (-one, zero)),
-    )
+    one, zero = Fraction(1), Fraction(0)
+    C = (((one, zero), (zero, one)), ((zero, one), (-one, zero)))
     return AlgebraSpec(name="C", dim=2, structure=C, conj_signs=(1, -1))
 
 

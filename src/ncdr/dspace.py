@@ -10,6 +10,7 @@ component sums; a 1 x 1 one converts to standard components.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -80,21 +81,13 @@ class DMatrix:
 
     @classmethod
     def identity(cls, alg: AlgebraSpec, n: int) -> "DMatrix":
-        return cls(
-            tuple(
-                tuple(alg.one if i == j else alg.zero for j in range(n)) for i in range(n)
-            )
-        )
+        return cls.diagonal([alg.one] * n)
 
     @classmethod
     def diagonal(cls, diag: Sequence[Element]) -> "DMatrix":
-        alg = diag[0].alg
-        n = len(diag)
-        return cls(
-            tuple(
-                tuple(diag[i] if i == j else alg.zero for j in range(n)) for i in range(n)
-            )
-        )
+        zero = diag[0].alg.zero
+        return cls(tuple(tuple(d if i == j else zero for j in range(len(diag)))
+                         for i, d in enumerate(diag)))
 
     def __matmul__(self, other: "DMatrix") -> "DMatrix":
         rows, inner = self.shape
@@ -117,27 +110,18 @@ class DMatrix:
         rows, cols = self.shape
         if len(v) != cols:
             raise DimensionMismatch("vector length does not match matrix")
-        return DVector(
-            tuple(
-                sum(
-                    (mul(self.entries[i][k], v[k]) for k in range(cols)),
-                    self.alg.zero,
-                )
-                for i in range(rows)
-            )
-        )
+        return DVector(tuple(
+            sum((mul(self.entries[i][k], v[k]) for k in range(cols)), self.alg.zero)
+            for i in range(rows)
+        ))
 
     def to_json(self) -> str:
-        return json.dumps(
-            [[element_to_strings(e) for e in row] for row in self.entries]
-        )
+        return json.dumps([[element_to_strings(e) for e in row] for row in self.entries])
 
     @classmethod
     def from_json(cls, alg: AlgebraSpec, text: str) -> "DMatrix":
         grid = json.loads(text)
-        return cls(
-            tuple(tuple(element_from_strings(alg, e) for e in row) for row in grid)
-        )
+        return cls(tuple(tuple(element_from_strings(alg, e) for e in row) for row in grid))
 
 
 def lin_comb(a: Element, v: DVector, b: Element, c: Element, w: DVector, d: Element) -> DVector:
@@ -211,49 +195,23 @@ class ComponentMap:
     @classmethod
     def identity(cls, alg: AlgebraSpec, n: int) -> "ComponentMap":
         one = alg.one
-        return cls(
-            alg,
-            tuple(
-                tuple(((one, one),) if i == j else () for i in range(n))
-                for j in range(n)
-            ),
-        )
+        return cls(alg, tuple(tuple(((one, one),) if i == j else () for i in range(n))
+                              for j in range(n)))
 
     @classmethod
     def from_lists(cls, alg: AlgebraSpec, pairs) -> "ComponentMap":
-        return cls(
-            alg,
-            tuple(
-                tuple(tuple((u, v) for u, v in cell) for cell in row) for row in pairs
-            ),
-        )
+        return cls(alg, tuple(tuple(tuple((u, v) for u, v in cell) for cell in row)
+                              for row in pairs))
 
     def to_json(self) -> str:
-        doc = [
-            [
-                [[element_to_strings(u), element_to_strings(v)] for u, v in cell]
-                for cell in row
-            ]
-            for row in self.pairs
-        ]
-        return json.dumps(doc)
+        return json.dumps([[[[element_to_strings(u), element_to_strings(v)] for u, v in cell]
+                            for cell in row] for row in self.pairs])
 
     @classmethod
     def from_json(cls, alg: AlgebraSpec, text: str) -> "ComponentMap":
-        doc = json.loads(text)
-        return cls(
-            alg,
-            tuple(
-                tuple(
-                    tuple(
-                        (element_from_strings(alg, u), element_from_strings(alg, v))
-                        for u, v in cell
-                    )
-                    for cell in row
-                )
-                for row in doc
-            ),
-        )
+        read = element_from_strings
+        return cls.from_lists(alg, [[[(read(alg, u), read(alg, v)) for u, v in cell]
+                                     for cell in row] for row in json.loads(text)])
 
 
 def apply_component_map(M: ComponentMap, v: DVector) -> DVector:
@@ -273,17 +231,31 @@ def apply_component_map(M: ComponentMap, v: DVector) -> DVector:
 def component_sum_to_std(M: ComponentMap) -> StdComponents:
     """Standard components of a 1 x 1 map x -> sum_s u_s x v_s.
 
-    f^{ij} = sum_s u_s^i v_s^j, the superposed outer products.
+    f^{ij} = sum_s u_s^i v_s^j, the superposed outer products.  Exact pairs
+    sum integer numerators over one common denominator.
     """
     if M.rows != 1 or M.cols != 1:
         raise DimensionMismatch("standard components need a 1 x 1 component map")
     n = M.alg.dim
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for u, v in M.pairs[0][0]:
-        for i in range(n):
-            if u.coords[i]:
-                for j in range(n):
-                    out[i][j] += u.coords[i] * v.coords[j]
+    pairs = [(u._ints, v._ints) for u, v in M.pairs[0][0]]
+    if all(a is not None and b is not None for a, b in pairs):
+        den = math.lcm(*[du * dv for (_, du), (_, dv) in pairs])
+        acc = [[0] * n for _ in range(n)]
+        for (un, du), (vn, dv) in pairs:
+            s = den // (du * dv)
+            for a, row in zip(un, acc):
+                if a:
+                    a *= s
+                    for j, b in enumerate(vn):
+                        row[j] += a * b
+        out = [[Fraction(v, den) for v in row] for row in acc]
+    else:
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for u, v in M.pairs[0][0]:
+            for i in range(n):
+                if u.coords[i]:
+                    for j in range(n):
+                        out[i][j] += u.coords[i] * v.coords[j]
     return StdComponents(M.alg, tuple(tuple(r) for r in out))
 
 

@@ -72,7 +72,8 @@ def _fraction_free(A: list[list[int]]) -> tuple[list[list[int]], list[int], int,
     Bareiss's update (Math. Comp. 22, 1968) applied above the pivot as well
     as below it: at each pivot p every other row becomes
     (p * row - row[c] * pivot_row) // prev, an exact division because every
-    entry is a minor of A.  Returns (A, pivot columns, swap sign, d): every
+    entry is a minor of A; a row with 0 in the pivot column only scales, to
+    p * row // prev.  Returns (A, pivot columns, swap sign, d): every
     pivot entry ends equal to d, so A / d is the reduced row echelon form,
     and for square A of full rank sign * d is its determinant.
     """
@@ -94,7 +95,8 @@ def _fraction_free(A: list[list[int]]) -> tuple[list[list[int]], list[int], int,
         for i in range(rows):
             if i != r:
                 f = A[i][c]
-                A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], top)]
+                A[i] = ([(p * a - f * b) // prev for a, b in zip(A[i], top)] if f
+                        else [p * a // prev for a in A[i]])
         prev = p
         pivots.append(c)
         r += 1

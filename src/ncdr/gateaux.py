@@ -29,7 +29,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, inverse, mul, norm_float, norm_sq
+from .algebra import AlgebraSpec, Element, _float_element, inverse, mul, norm_float, norm_sq
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -150,7 +150,8 @@ def _directional(
 
     def shifted(t: float) -> tuple[Element, ...]:
         return tuple(
-            Element(alg, tuple([u + t * v for u, v in zip(xc, ac)])) for alg, xc, ac in parts
+            _float_element(alg, tuple([u + t * v for u, v in zip(xc, ac)]))
+            for alg, xc, ac in parts
         )
 
     def sample(t: float) -> list[float]:
@@ -176,7 +177,7 @@ def gateaux_with_error(
 ) -> tuple[Element, float]:
     """Directional derivative and its extrapolation error estimate."""
     value, err = _directional(f, _float_point(f, x), _float_point(f, a), cfg)
-    return Element(f.codomain, tuple(value)), err
+    return _float_element(f.codomain, tuple(value)), err
 
 
 def gateaux(f: MapEvaluator, x: Point, a: Point, cfg: DiffConfig = DEFAULT_CONFIG) -> Element:
@@ -239,7 +240,7 @@ def second_gateaux(
         max(cfg.rel_tol, SECOND_ORDER_TOL),
         "second-order extrapolants disagree by {error:.3e}",
     )
-    return Element(f.codomain, tuple(value))
+    return _float_element(f.codomain, tuple(value))
 
 
 def mixed_partial_residual(
@@ -257,8 +258,9 @@ def jacobian(f: MapEvaluator, x: Point, cfg: DiffConfig = DEFAULT_CONFIG) -> np.
     xt = _float_point(f, x)
     alg_in, arity_in = f.domain
     n_in = alg_in.dim
-    zero = Element(alg_in, (0.0,) * n_in)
-    units = [Element(alg_in, tuple(float(i == c) for i in range(n_in))) for c in range(n_in)]
+    zero = _float_element(alg_in, (0.0,) * n_in)
+    units = [_float_element(alg_in, tuple(float(i == c) for i in range(n_in)))
+             for c in range(n_in)]
     cols = []
     for slot in range(arity_in):
         for unit in units:

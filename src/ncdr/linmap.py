@@ -8,7 +8,8 @@ components are unique.
 
 The exact layer runs on integers.  big_c keeps mat and its inverse as integer
 rows, so std_to_coord and an invertible coord_to_std are one row-vector product
-each; compose_std and embed_matrix sum numerators over the structure triples.
+each; compose_std and embed_matrix sum numerators over the structure triples,
+and CoordMatrix.apply multiplies an exact element's numerators by integer rows.
 Only final entries become Fractions.  Float components (least-squares
 differentials) make std_to_coord sum float(constant) * float(component) in
 (k, r) order over the nonzero constants.
@@ -26,7 +27,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from . import exactla
-from .algebra import AlgebraSpec, Element, ScalarLike, as_scalar, mul
+from .algebra import AlgebraSpec, Element, ScalarLike, _reduced, as_scalar, mul
 from .errors import (
     AlgebraMismatch,
     DegreeTooLarge,
@@ -61,9 +62,7 @@ class StdComponents:
     @classmethod
     def identity(cls, alg: AlgebraSpec) -> "StdComponents":
         n = alg.dim
-        return cls.from_rows(
-            alg, [[1 if i == j == 0 else 0 for j in range(n)] for i in range(n)]
-        )
+        return cls.from_rows(alg, [[int(i == j == 0) for j in range(n)] for i in range(n)])
 
     def to_json(self) -> str:
         return json.dumps([[str(v) for v in row] for row in self.comps])
@@ -94,9 +93,24 @@ class CoordMatrix:
         n = alg.dim
         return cls.from_rows(alg, [[int(i == j) for j in range(n)] for i in range(n)])
 
+    @cached_property
+    def _ints(self) -> tuple[list[list[int]], int] | None:
+        """mat as integer rows over one denominator; None if an entry is a float."""
+        flat = [v for row in self.mat for v in row]
+        if any(isinstance(v, float) for v in flat):
+            return None
+        nums, den = exactla.numerators(flat)
+        n = self.alg.dim
+        return [nums[j : j + n] for j in range(0, n * n, n)], den
+
     def apply(self, a: Element) -> Element:
         if a.alg != self.alg:
             raise AlgebraMismatch("element belongs to a different algebra")
+        m, x = self._ints, a._ints
+        if m is not None and x is not None:
+            (rows, dm), (num, dx) = m, x
+            acc = [sum([c * v for c, v in zip(row, num)]) for row in rows]
+            return _reduced(self.alg, acc, dm * dx)
         n = self.alg.dim
         return Element(
             self.alg,
@@ -127,7 +141,7 @@ def embed_matrix(a: Element) -> CoordMatrix:
     J_a J_b = J_{ab} and J_{a+b} = J_a + J_b.  Exact coordinates only.
     """
     n = a.alg.dim
-    an, da = exactla.numerators(a.coords)
+    an, da = a._ints
     den, triples = a.alg._int_triples
     J = [0] * (n * n)
     for k, l, p, c in triples:

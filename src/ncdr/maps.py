@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algebra import AlgebraSpec, Element, conj, inverse, mul, norm_sq
+from .algebra import AlgebraSpec, Element, _float_element, conj, inverse, mul, norm_sq
 from .gateaux import MapEvaluator
 
 
@@ -28,7 +28,7 @@ def conjugate(alg: AlgebraSpec) -> MapEvaluator:
 
 def norm_square(alg: AlgebraSpec) -> MapEvaluator:
     pad = (0.0,) * (alg.dim - 1)
-    return MapEvaluator.unary(alg, lambda x: Element(alg, (float(norm_sq(x)),) + pad))
+    return MapEvaluator.unary(alg, lambda x: _float_element(alg, (float(norm_sq(x)),) + pad))
 
 
 def two_sided(b: Element, c: Element) -> MapEvaluator:

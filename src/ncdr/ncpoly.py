@@ -84,7 +84,8 @@ Term = tuple[Fraction, Word]
 
 
 def _is_central_scalar(e: Element) -> bool:
-    return isinstance(e.coords[0], (int, Fraction)) and not any(e.coords[1:])
+    # Float elements stay constants: a term's scale is a Fraction.
+    return e._ints is not None and not any(e._ints[0][1:])
 
 
 def _append(out: Word, scale: Fraction, f: Factor) -> tuple[Word, Fraction] | None:
@@ -102,7 +103,9 @@ def _append(out: Word, scale: Fraction, f: Factor) -> tuple[Word, Fraction] | No
         out = out[:-1]
         central = _is_central_scalar(v)
     if central:
-        scale = scale * v.coords[0]
+        num, den = v._ints
+        if num[0] != den:  # the unit leaves scale as it is
+            scale = Fraction(scale.numerator * num[0], scale.denominator * den)
         return (out, scale) if scale else None
     if v.is_zero():
         return None

@@ -130,9 +130,7 @@ def random_rational_element(rng: random.Random, alg: AlgebraSpec = H) -> Element
 def _numeric_direction(rng: random.Random) -> Element:
     # Gentle magnitudes keep the higher-order difference terms inside the
     # extrapolation's asymptotic regime at the default base step.
-    return H.element(
-        [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(4)]
-    )
+    return H.element([Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(4)])
 
 
 def _numeric_point(rng: random.Random) -> Element:
@@ -150,10 +148,8 @@ def _nonzero_direction(rng: random.Random) -> Element:
 
 
 def _random_std(rng: random.Random, alg: AlgebraSpec = H) -> StdComponents:
-    n = alg.dim
-    return StdComponents.from_rows(
-        alg, [[_random_fraction(rng) for _ in range(n)] for _ in range(n)]
-    )
+    rows = [[_random_fraction(rng) for _ in range(alg.dim)] for _ in range(alg.dim)]
+    return StdComponents.from_rows(alg, rows)
 
 
 #: Structure constants of the quaternion table, transcribed by hand.
@@ -173,9 +169,7 @@ def std_components_to_word(f: StdComponents, symbol: str = "h") -> WordPoly:
         for j in range(alg.dim):
             c = f.comps[i][j]
             if c:
-                raw.append(
-                    (Fraction(c), (Const(alg.basis(i)), Var(symbol), Const(alg.basis(j))))
-                )
+                raw.append((Fraction(c), (Const(alg.basis(i)), Var(symbol), Const(alg.basis(j)))))
     return WordPoly.build(alg, raw)
 
 

@@ -1,0 +1,127 @@
+"""Exact elements on integer numerators against Fraction-tuple arithmetic.
+
+An exact Element stores integer numerators over one denominator and builds
+its Fraction coordinates only when they are read.  The Fraction-tuple
+arithmetic it replaced is kept here as the reference: every operation must
+give equal coordinates, all of them Fractions, over H, C and general
+E(a, b), split algebras included.  The integer view must be canonical, and
+the hash must be that of the coordinate tuple for exact and float elements.
+"""
+
+import math
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_mul_kernels import algebras, exact_coords, reference_mul
+
+from ncdr.algebra import QUATERNIONS, Element, conj, inverse, mul, norm_sq
+from ncdr.errors import NotInvertible
+
+H = QUATERNIONS
+
+
+def reference_conj(x: Element) -> list:
+    return [c if s == 1 else -c for s, c in zip(x.alg.conj_signs, x.coords)]
+
+
+def reference_norm_sq(x: Element) -> Fraction:
+    return reference_mul(x, Element(x.alg, tuple(reference_conj(x))))[0]
+
+
+def reference_inverse(x: Element) -> list:
+    n = reference_norm_sq(x)
+    return [c / n for c in reference_conj(x)]
+
+
+def assert_exact(e: Element, want: list) -> None:
+    assert list(e.coords) == want
+    assert all(type(v) is Fraction for v in e.coords)
+    num, den = e._ints
+    assert den > 0 and math.gcd(den, *num) == 1
+    assert hash(e) == hash(e.coords)
+
+
+@st.composite
+def cases(draw):
+    """Two elements as given (ints kept), one kernel-built, and two scalars."""
+    alg = draw(algebras)
+    x, y, z = (Element(alg, tuple(draw(exact_coords) for _ in range(alg.dim))) for _ in "xyz")
+    k = draw(st.integers(-7, 7))
+    q = draw(st.fractions(min_value=-5, max_value=5, max_denominator=9))
+    return x, y, mul(y, z), k, q
+
+
+@given(cases())
+@settings(max_examples=300, deadline=None)
+def test_exact_operations_match_fraction_tuples(case):
+    x, y, p, k, q = case
+    for a, b in ((x, y), (y, p), (p, x)):
+        # Results hold Fractions also where an operand holds ints.
+        ac, bc = list(map(Fraction, a.coords)), list(map(Fraction, b.coords))
+        assert_exact(a + b, [u + v for u, v in zip(ac, bc)])
+        assert_exact(a - b, [u - v for u, v in zip(ac, bc)])
+        assert_exact(-a, [-u for u in ac])
+        assert_exact(mul(a, b), reference_mul(a, b))
+        assert_exact(a * b, reference_mul(a, b))
+        assert_exact(conj(a), reference_conj(a))
+        for s in (k, q):
+            assert_exact(a * s, [u * s for u in ac])
+            assert_exact(s * a, [s * u for u in ac])
+            if s:
+                assert_exact(a / s, [u / s for u in ac])
+        n = norm_sq(a)
+        assert type(n) is Fraction and n == reference_norm_sq(a)
+        if reference_norm_sq(a):
+            assert_exact(inverse(a), reference_inverse(a))
+        else:
+            with pytest.raises(NotInvertible):
+                inverse(a)
+        assert (a == b) == (ac == bc)
+        assert bool(a) == any(ac) == (not a.is_zero())
+        f = a.to_float()
+        assert f.coords == tuple(float(u) for u in ac)
+        assert all(type(v) is float for v in f.coords)
+        assert hash(f) == hash(f.coords)
+    assert_exact(x + x - x, list(map(Fraction, x.coords)))
+
+
+def test_exact_and_float_elements_compare_and_hash_by_value():
+    f = Element(H, (1.0, 0.0, 0.0, 0.0))
+    assert H.one == f and f == H.one
+    assert hash(H.one) == hash(f) == hash(H.one.coords)
+    assert len({H.one, f, H.scalar(1), H.element(["1", "0", "0", "0"])}) == 1
+    assert H.basis(2) != H.one and H.scalar(Fraction(1, 2)) == Element(H, (0.5, 0, 0, 0))
+    mixed = H.scalar(1.5)
+    assert mixed.coords == (1.5, 0, 0, 0) and type(mixed.coords[1]) is Fraction
+    assert hash(mixed) == hash(mixed.coords)
+    # A denominator divisible by the hash modulus has no inverse modulo it.
+    P = sys.hash_info.modulus
+    for den in (P, 3 * P):
+        x = mul(H.element([Fraction(1, den), 2, 0, Fraction(-5, 3)]), H.basis(1))
+        assert x._ints[1] % P == 0 and hash(x) == hash(x.coords)
+
+
+def test_exact_chain_builds_no_fraction_until_coords_are_read(monkeypatch):
+    x = H.element([Fraction(1, 3), Fraction(-2, 5), Fraction(7, 4), Fraction(1, 2)])
+    y = H.element([Fraction(2, 7), Fraction(1, 3), Fraction(-5, 6), Fraction(3, 2)])
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    z = x
+    for i in range(50):
+        z = mul(z, y) + conj(x) - (-z) * 2
+        z = conj(z) if i % 2 else z
+    assert z == z and not z.is_zero()
+    hash(z)
+    assert made == []
+    coords = z.coords
+    assert len(made) == 4
+    assert z.coords is coords and len(made) == 4

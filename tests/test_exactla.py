@@ -266,6 +266,45 @@ def test_eliminate_square_of_empty_matrix():
     assert exactla.eliminate_square([]) == (0, Fraction(1), [], [])
 
 
+@st.composite
+def sparse_matrices(draw, square=False):
+    """Integer matrices up to 8 x 10 with about a fifth of the entries nonzero."""
+    rows = draw(st.integers(1, 8))
+    cols = rows if square else draw(st.integers(1, 10))
+    M = [[Fraction(0)] * cols for _ in range(rows)]
+    for _ in range(draw(st.integers(0, rows * cols // 5 + 1))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        M[i][j] = Fraction(draw(st.integers(-9, 9)))
+    return M
+
+
+@given(sparse_matrices())
+@settings(max_examples=300, deadline=None)
+def test_sparse_matrices_match_references(M):
+    # Most rows hold 0 in the pivot column, so they take the scaling-only update.
+    R, pivots = exactla.rref(M)
+    assert (R, pivots) == reference_rref(M)
+    assert exactla.rank(M) == reference_rank(M) == len(pivots)
+
+
+@given(sparse_matrices(square=True))
+@settings(max_examples=300, deadline=None)
+def test_sparse_square_eliminations_match_references(M):
+    n = len(M)
+    got = exactla.eliminate_square(M)
+    assert got.det == exactla.det(M) == reference_det(M)
+    assert got.rank == reference_rank(M)
+    R, pivots = reference_rref([row + [Fraction(int(i == j)) for j in range(n)]
+                                for i, row in enumerate(M)])
+    if got.rank == n:
+        assert got.inverse == [row[n:] for row in R]
+    else:
+        assert got.inverse is None
+        assert len(got.kernel) == n - got.rank
+        assert all(reference_mat_vec(M, v) == [0] * n for v in got.kernel)
+        assert got.kernel == exactla.nullspace(M)
+
+
 def reference_mat_mul(A, B):
     rows, inner, cols = len(A), len(B), len(B[0])
     return [

@@ -2,7 +2,8 @@
 
 big_c's contraction, std_to_coord, compose_std, embed_matrix and the
 associativity check of AlgebraSpec run on integer numerators over the sparse
-structure triples.  The dense Fraction loops they replaced are kept here as
+structure triples, and CoordMatrix.apply and component_sum_to_std on the
+integer view of exact elements.  The dense Fraction loops they replaced are kept here as
 references: results must be equal, entry types included, and a corrupted
 tensor must be rejected with the same message, naming the same first
 violating basis triple.  Float standard components take std_to_coord's float
@@ -18,6 +19,7 @@ from test_mul_kernels import algebras
 
 from ncdr import exactla, maps
 from ncdr.algebra import COMPLEX, AlgebraSpec, Element
+from ncdr.dspace import ComponentMap, component_sum_to_std
 from ncdr.errors import AxiomViolated
 from ncdr.gateaux import differential_std_components
 from ncdr.linmap import (
@@ -143,6 +145,36 @@ def test_layer_matches_dense_references(case):
         n = alg.dim
         assert_same_grid(sol.components.comps, [x[k * n : k * n + n] for k in range(n)])
 
+
+
+def reference_apply(m, a):
+    n = m.alg.dim
+    return [sum((m.mat[j][i] * a.coords[i] for i in range(n)), Fraction(0)) for j in range(n)]
+
+
+def reference_component_sum_to_std(pairs, n):
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for u, v in pairs:
+        for i in range(n):
+            if u.coords[i]:
+                for j in range(n):
+                    out[i][j] += u.coords[i] * v.coords[j]
+    return out
+
+
+@given(algebra_and_maps(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_element_entry_points_match_fraction_references(case, data):
+    alg, f, g, a = case
+    n = alg.dim
+    for m in (std_to_coord(f), CoordMatrix(alg, g.comps)):
+        for x in (a, a.to_float()):
+            assert_same_grid([m.apply(x).coords], [reference_apply(m, x)])
+    element = st.tuples(*[values] * n).map(lambda c: Element(alg, c))
+    pairs = data.draw(st.lists(st.tuples(element, element), max_size=4).map(tuple))
+    for terms in (pairs, tuple((u.to_float(), v) for u, v in pairs)):
+        got = component_sum_to_std(ComponentMap(alg, ((terms,),))).comps
+        assert_same_grid(got, reference_component_sum_to_std(terms, n))
 
 floats = st.one_of(st.just(0.0), st.floats(min_value=-1e6, max_value=1e6))
 
