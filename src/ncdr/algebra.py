@@ -165,7 +165,7 @@ class AlgebraSpec:
         """Parse to_json's document; ParseError when it is malformed."""
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"algebra document is not JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("algebra document must be a JSON object")

@@ -66,7 +66,7 @@ def _grid_from_spec(alg: AlgebraSpec, spec: str) -> list[list[Fraction]]:
         ]
     try:
         rows = json.loads(spec)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read matrix spec: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ParseError("matrix spec must be a JSON list of rows")

@@ -1,10 +1,16 @@
 """Exact symbolic calculus for noncommutative polynomials in one variable.
 
 A polynomial is a sum of monomials a_0 x a_1 x ... x a_k with constant
-two-sided factors.  Derivatives of every order come from polarization: the
-order-m derivative replaces m of the x-slots by fresh symbols h_1..h_m in all
-ordered ways, which keeps the structural identities (vanishing above the
-degree, n! on the diagonal, permutation symmetry) exact by construction.
+two-sided factors.  WordPoly is the one polynomial algebra: sums, products,
+powers, substitution and derivatives all run on its canonical words.  NCPoly
+is only the monomial-form record that taylor_poly, sym_derivative and
+eval_poly take and that Taylor terms and parsed polynomials come back as;
+to_words and ncpoly_from_words convert between the two.
+
+Derivatives of every order come from polarization: the order-m derivative
+replaces m of the x-slots by fresh symbols h_1..h_m in all ordered ways,
+which keeps the structural identities (vanishing above the degree, n! on the
+diagonal, permutation symmetry) exact by construction.
 
 Taylor terms need only the diagonal of those derivatives, where the
 polarization holds each choice of k slots k! times.  taylor_poly therefore
@@ -248,6 +254,15 @@ class WordPoly:
             return self * other
         return NotImplemented
 
+    def __pow__(self, k: int) -> "WordPoly":
+        """Repeated product; every step is held to MAX_PRODUCT_WORDS."""
+        if k < 0:
+            raise RangeError("negative powers are not polynomials")
+        acc = WordPoly.constant(self.alg.one)
+        for _ in range(k):
+            acc = acc * self
+        return acc
+
     def rename(self, mapping: Mapping[str, str]) -> "WordPoly":
         # Renaming leaves every word canonical, so equal words only need
         # merging, not the constant fusion of build.
@@ -367,76 +382,14 @@ class Monomial:
 
 @dataclass(frozen=True)
 class NCPoly:
-    """Formal sum of monomials; the empty sum is the zero polynomial."""
+    """Formal sum of monomials, the empty sum being zero; a record, not an algebra."""
 
     alg: AlgebraSpec
     monomials: tuple[Monomial, ...]
 
-    @classmethod
-    def zero(cls, alg: AlgebraSpec) -> "NCPoly":
-        return cls(alg, ())
-
-    @classmethod
-    def constant(cls, value: Element) -> "NCPoly":
-        if value.is_zero():
-            return cls.zero(value.alg)
-        return cls(value.alg, (Monomial((value,)),))
-
-    @classmethod
-    def variable(cls, alg: AlgebraSpec) -> "NCPoly":
-        return cls(alg, (Monomial((alg.one, alg.one)),))
-
     @property
     def degree(self) -> int:
         return max((m.degree for m in self.monomials), default=-1)
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        return NCPoly(self.alg, self.monomials + other.monomials)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(
-            self.alg,
-            tuple(
-                Monomial((-m.coefficients[0],) + m.coefficients[1:])
-                for m in self.monomials
-            ),
-        )
-
-    def __mul__(self, other: object) -> "NCPoly":
-        if isinstance(other, NCPoly):
-            out = []
-            for a in self.monomials:
-                for b in other.monomials:
-                    joined = (
-                        a.coefficients[:-1]
-                        + (mul(a.coefficients[-1], b.coefficients[0]),)
-                        + b.coefficients[1:]
-                    )
-                    out.append(Monomial(joined))
-            return NCPoly(self.alg, tuple(out))
-        if isinstance(other, (int, Fraction)):
-            return NCPoly.constant(self.alg.scalar(other)) * self
-        if isinstance(other, Element):
-            return self * NCPoly.constant(other)
-        return NotImplemented
-
-    def __rmul__(self, other: object) -> "NCPoly":
-        if isinstance(other, (int, Fraction)):
-            return NCPoly.constant(self.alg.scalar(other)) * self
-        if isinstance(other, Element):
-            return NCPoly.constant(other) * self
-        return NotImplemented
-
-    def __pow__(self, k: int) -> "NCPoly":
-        if k < 0:
-            raise RangeError("negative powers are not polynomials")
-        acc = NCPoly.constant(self.alg.one)
-        for _ in range(k):
-            acc = acc * self
-        return acc
 
     def to_words(self, name: str = "x") -> WordPoly:
         raw = []
@@ -488,7 +441,9 @@ def sym_derivative(p: NCPoly, order: int, var: str = "x") -> WordPoly:
 
     Each step replaces one remaining x-slot by the next fresh symbol in every
     position, so a degree-n monomial contributes n(n-1)...(n-m+1) words and
-    the result is symmetric under permuting the h's by construction.
+    the result is symmetric under permuting the h's by construction.  The
+    steps stop where the derivative first vanishes, so any order past the
+    degree returns zero at once.
     """
     if order < 1:
         raise RangeError("derivative order must be at least 1")
@@ -500,6 +455,8 @@ def sym_derivative(p: NCPoly, order: int, var: str = "x") -> WordPoly:
         )
     w = p.to_words(var)
     for q in range(1, order + 1):
+        if w.is_zero():
+            break
         w = w.derivative(var, f"h{q}")
     return w
 
@@ -549,6 +506,7 @@ def taylor_poly(p: NCPoly, y0: Element) -> TaylorExpansion:
         segments = [(Const(c),) for c in m.coefficients]
         for k, terms in enumerate(_fill_slots(alg, Fraction(1), segments, fills)):
             by_order[k] += terms
-    terms = [NCPoly.constant(eval_poly(p, y0))]
+    c = eval_poly(p, y0)
+    terms = [NCPoly(alg, (Monomial((c,)),) if c else ())]
     terms += [ncpoly_from_words(WordPoly.build(alg, raw), "h") for raw in by_order[1:]]
     return TaylorExpansion(base_point=y0, terms=tuple(terms))

@@ -95,13 +95,6 @@ class _Tokens:
         return tok
 
 
-def _wp_pow(w: WordPoly, n: int) -> WordPoly:
-    acc = WordPoly.constant(w.alg.one)
-    for _ in range(n):
-        acc = acc * w
-    return acc
-
-
 class _PolyParser:
     def __init__(self, alg: AlgebraSpec, text: str, variables: frozenset[str]):
         self.alg = alg
@@ -146,7 +139,7 @@ class _PolyParser:
                 raise ParseError("exponent must be a nonnegative integer")
             if int(text) > MAX_EXPONENT:
                 raise ParseError(f"exponent {text} exceeds the limit {MAX_EXPONENT}")
-            return _wp_pow(value, int(text))
+            return value ** int(text)
         return value
 
     def atom(self) -> WordPoly:
@@ -170,7 +163,11 @@ class _PolyParser:
 def parse_word_poly(
     alg: AlgebraSpec, text: str, variables: frozenset[str] = frozenset({"x", "h"})
 ) -> WordPoly:
-    return _PolyParser(alg, text, variables).parse()
+    """Parse an expression; ParseError also where it nests too deeply to parse."""
+    try:
+        return _PolyParser(alg, text, variables).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
 
 
 def parse_ncpoly(alg: AlgebraSpec, text: str) -> NCPoly:

@@ -29,7 +29,6 @@ from .ncpoly import (
     diagonal,
     extensional_equal,
     ncpoly_from_words,
-    sym_derivative,
 )
 
 
@@ -103,11 +102,9 @@ def solve_ode_taylor(
     # All orders are substituted together, so their words merge in one build.
     shift = WordPoly.variable(alg, "x") - WordPoly.constant(x0)
     assembled = WordPoly.build(alg, in_h).substitute("h", shift) + WordPoly.constant(y0)
-    solution = ncpoly_from_words(assembled, "x")
-
-    recovered = sym_derivative(solution, 1).rename({"h1": "h"})
-    if not extensional_equal(recovered, rhs.poly):
+    if not extensional_equal(assembled.derivative("x", "h"), rhs.poly):
         raise NoSolution("assembled polynomial does not satisfy the equation")
+    solution = ncpoly_from_words(assembled, "x")
     return TaylorSolution(
         x0=x0, y0=y0, diagonals=tuple(diagonals), terminated=True, solution=solution
     )
@@ -214,16 +211,10 @@ def exp_flow_defect(alg: AlgebraSpec, k: int) -> WordPoly:
     """
     if k < 1:
         raise RangeError("term index must be positive")
-    xk = NCPoly.variable(alg) ** k
-    series_part = Fraction(1, math.factorial(k)) * sym_derivative(xk, 1).rename(
-        {"h1": "h"}
-    )
-    power = WordPoly.variable(alg, "x")
-    word_pow = WordPoly.constant(alg.one)
-    for _ in range(k - 1):
-        word_pow = word_pow * power
-    h = WordPoly.variable(alg, "h")
-    ode_part = Fraction(1, 2 * math.factorial(k - 1)) * (word_pow * h + h * word_pow)
+    x, h = WordPoly.variable(alg, "x"), WordPoly.variable(alg, "h")
+    series_part = Fraction(1, math.factorial(k)) * (x**k).derivative("x", "h")
+    power = x ** (k - 1)
+    ode_part = Fraction(1, 2 * math.factorial(k - 1)) * (power * h + h * power)
     return series_part - ode_part
 
 

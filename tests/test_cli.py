@@ -138,11 +138,55 @@ def test_diff_std_components_poly_map(capsys):
 
 def test_poly_commands(capsys):
     code, out, _ = run(capsys, "poly", "derive", "--poly", "x^2", "--order", "1")
-    assert code == 0 and "h1" in out
+    assert code == 0 and out == "h1*x + x*h1\n"
     code, out, _ = run(capsys, "poly", "taylor", "--poly", "x^2", "--at", "1+1i", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert len(doc["terms"]) == 3
+    assert doc == {
+        "base_point": "1+1i+0j+0k",
+        "terms": ["(0+2i+0j+0k)", "h*(1+1i+0j+0k) + (1+1i+0j+0k)*h", "h*h"],
+    }
+
+
+# Exact output of the symbolic commands.  Taylor terms print from their
+# monomial form, so a scalar stays inside its constant: (0+4i+0j+0k)*h, not
+# the equal 4*(0+1i+0j+0k)*h a word polynomial prints.
+GOLDEN = [
+    (("poly", "taylor", "--poly", "(1+i)*x^2", "--at", "2"),
+     "about 2+0i+0j+0k, in h = x - (2+0i+0j+0k):\n"
+     "  degree 0: (4+4i+0j+0k)\n"
+     "  degree 1: 4*h + (0+4i+0j+0k)*h\n"
+     "  degree 2: h*h + (0+1i+0j+0k)*h*h\n"),
+    (("poly", "taylor", "--poly", "(1+i)*x^2", "--at", "2", "--json"),
+     '{"base_point": "2+0i+0j+0k", "terms": ["(4+4i+0j+0k)", "4*h + (0+4i+0j+0k)*h", '
+     '"h*h + (0+1i+0j+0k)*h*h"]}\n'),
+    (("poly", "taylor", "--poly", "i*x*2*x*j", "--at", "3"),
+     "about 3+0i+0j+0k, in h = x - (3+0i+0j+0k):\n"
+     "  degree 0: (0+0i+0j+18k)\n"
+     "  degree 1: (0+12i+0j+0k)*h*(0+0i+1j+0k)\n"
+     "  degree 2: (0+2i+0j+0k)*h*h*(0+0i+1j+0k)\n"),
+    (("poly", "taylor", "--poly", "i*x*2*x*j", "--at", "3", "--json"),
+     '{"base_point": "3+0i+0j+0k", "terms": ["(0+0i+0j+18k)", '
+     '"(0+12i+0j+0k)*h*(0+0i+1j+0k)", "(0+2i+0j+0k)*h*h*(0+0i+1j+0k)"]}\n'),
+    (("poly", "derive", "--poly", "(1+i)*x^2", "--order", "1"),
+     "h1*x + x*h1 + (0+1i+0j+0k)*h1*x + (0+1i+0j+0k)*x*h1\n"),
+    (("poly", "derive", "--poly", "i*x*2*x*j", "--order", "2", "--json"),
+     '{"order": 2, "derivative": "(0+2i+0j+0k)*h1*h2*(0+0i+1j+0k) + '
+     '(0+2i+0j+0k)*h2*h1*(0+0i+1j+0k)"}\n'),
+    (("poly", "derive", "--poly", "x^2", "--order", "1000000000000"), "0\n"),
+    (("ode", "solve", "--rhs", "h*x + x*h", "--x0", "1+1i", "--y0", "1-2k"),
+     "y(x) = x*x + (0-2i+0j+0k) + (1+0i+0j-2k)\n"),
+    (("ode", "solve", "--rhs", "h*x + x*h", "--x0", "1+1i", "--y0", "1-2k", "--json"),
+     '{"solution": "x*x + (0-2i+0j+0k) + (1+0i+0j-2k)", "orders": 3, "terminated": true}\n'),
+    (("ode", "solve", "--rhs", "i*h*j", "--x0", "0", "--y0", "1"),
+     "y(x) = (0+1i+0j+0k)*x*(0+0i+1j+0k) + (1+0i+0j+0k)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, want", GOLDEN)
+def test_symbolic_output_is_pinned(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, want, "")
 
 
 def test_ode_solve(capsys):
@@ -283,6 +327,28 @@ def test_failures_are_typed(tmp_path, capsys, argv, error):
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith(f"{error}: ")
+    assert "Traceback" not in err
+
+
+def _nested(depth):
+    return "(" * depth + "x" + ")" * depth
+
+
+@pytest.mark.parametrize("argv", [
+    ("poly", "derive", f"--poly={_nested(300)}"),
+    ("poly", "derive", "--poly=" + "-" * 3000 + "x"),
+    ("poly", "taylor", f"--poly={_nested(300)}", "--at", "1"),
+    ("diff", "jacobian", f"--map=poly:{_nested(300)}", "--at", "1"),
+    ("ode", "solve", "--rhs=h*" + _nested(300), "--x0", "0", "--y0", "0"),
+    ("algebra", "check", "--file", "{deep}"),
+    ("map", "convert", "--dir", "std2coord", "--matrix", "@{deep}"),
+])
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *(a.format(deep=deep) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("ParseError: ")
     assert "Traceback" not in err
 
 

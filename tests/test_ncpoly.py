@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ncdr import maps
 from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra, mul, norm_float
-from ncdr.errors import DegreeTooLarge, UnboundSymbol
+from ncdr.errors import DegreeTooLarge, RangeError, UnboundSymbol
 from ncdr.gateaux import gateaux
 from ncdr.ncpoly import (
     MAX_DERIVATIVE_WORDS,
@@ -30,11 +30,19 @@ from ncdr.ncpoly import (
     taylor_poly,
     word_eval,
 )
-from ncdr.parsing import parse_word_poly
+from ncdr.parsing import parse_ncpoly, parse_word_poly
 
 H = QUATERNIONS
 ONE, I, J, K = (H.basis(n) for n in range(4))
-X = NCPoly.variable(H)
+
+
+def poly(text):
+    return parse_ncpoly(H, text)
+
+
+def concat(*polys):
+    """The record holding every monomial of polys, in order and unmerged."""
+    return NCPoly(H, sum((p.monomials for p in polys), ()))
 
 
 def wp_var(name):
@@ -57,21 +65,21 @@ def random_monomial(rng, degree):
 
 
 def test_eval_poly():
-    assert eval_poly(X**3, I) == -I
+    assert eval_poly(poly("x^3"), I) == -I
     c = H.element([2, 0, 1, 0])
-    assert eval_poly(NCPoly.constant(c), J) == c
-    p = I * X * K  # i x k
+    assert eval_poly(NCPoly(H, (Monomial((c,)),)), J) == c
+    p = poly("i*x*k")
     assert eval_poly(p, J) == H.scalar(-1)
 
 
 def test_sym_derivative_square():
-    d = sym_derivative(X**2, 1)
+    d = sym_derivative(poly("x^2"), 1)
     want = wp_var("x") * wp_var("h1") + wp_var("h1") * wp_var("x")
     assert d.terms == want.terms
 
 
 def test_sym_derivative_cube_third_order():
-    d = sym_derivative(X**3, 3)
+    d = sym_derivative(poly("x^3"), 3)
     expected = WordPoly.zero(H)
     import itertools
 
@@ -82,7 +90,7 @@ def test_sym_derivative_cube_third_order():
 
 
 def test_sym_derivative_square_second_order():
-    d = sym_derivative(X**2, 2)
+    d = sym_derivative(poly("x^2"), 2)
     want = wp_var("h1") * wp_var("h2") + wp_var("h2") * wp_var("h1")
     assert d.terms == want.terms
 
@@ -90,9 +98,9 @@ def test_sym_derivative_square_second_order():
 def test_word_eval():
     w = wp_var("x") * wp_var("h") + wp_var("h") * wp_var("x")
     assert word_eval(w, {"x": ONE, "h": J}) == 2 * J
-    third = sym_derivative(X**3, 3)
+    third = sym_derivative(poly("x^3"), 3)
     bound = word_eval(third.rename({"h1": "h", "h2": "h", "h3": "h"}), {"h": I + J})
-    assert bound == 6 * eval_poly(X**3, I + J)
+    assert bound == 6 * eval_poly(poly("x^3"), I + J)
     assert word_eval(WordPoly.zero(H), {}).is_zero()
     with pytest.raises(UnboundSymbol):
         word_eval(w, {"x": ONE})
@@ -160,9 +168,9 @@ def test_permutation_symmetry_is_structural():
 
 def test_numeric_symbolic_agreement():
     rng = random.Random(11)
-    poly = X**2 + I * X * J - NCPoly.constant(K) + X**3
-    f = maps.MapEvaluator.unary(H, lambda x: eval_poly(poly, x))
-    d1 = sym_derivative(poly, 1)
+    p = poly("x^2 + i*x*j - k + x^3")
+    f = maps.MapEvaluator.unary(H, lambda x: eval_poly(p, x))
+    d1 = sym_derivative(p, 1)
     for _ in range(10):
         x, h = random_element(rng), random_element(rng)
         sym = word_eval(d1, {"x": x, "h1": h})
@@ -171,25 +179,25 @@ def test_numeric_symbolic_agreement():
 
 
 def test_taylor_poly_about_zero():
-    t = taylor_poly(X**2, H.zero)
+    t = taylor_poly(poly("x^2"), H.zero)
     rebuilt = t.reconstruct()
-    assert extensional_equal(rebuilt.to_words(), (X**2).to_words())
+    assert extensional_equal(rebuilt.to_words(), poly("x^2").to_words())
 
 
 def test_taylor_poly_about_point():
     c = H.element([1, -2, 3, Fraction(1, 2)])
-    t = taylor_poly(X**2, c)
+    t = taylor_poly(poly("x^2"), c)
     # Terms: c^2, c h + h c, h^2.
     assert eval_poly(t.terms[0], H.zero) == mul(c, c)
     h = random_element(random.Random(13))
     assert eval_poly(t.terms[1], h) == mul(c, h) + mul(h, c)
     assert eval_poly(t.terms[2], h) == mul(h, h)
-    assert extensional_equal(t.reconstruct().to_words(), (X**2).to_words())
+    assert extensional_equal(t.reconstruct().to_words(), poly("x^2").to_words())
 
 
 def test_taylor_degree_bound():
     rng = random.Random(15)
-    p = random_monomial(rng, 4) + random_monomial(rng, 2)
+    p = concat(random_monomial(rng, 4), random_monomial(rng, 2))
     t = taylor_poly(p, random_element(rng))
     assert len(t.terms) == p.degree + 1
     assert extensional_equal(t.reconstruct().to_words(), p.to_words())
@@ -200,9 +208,9 @@ def test_infinitesimal_order():
     rng = random.Random(17)
     x0 = random_element(rng)
     h = random_element(rng)
-    shifted = X - NCPoly.constant(x0)
+    shifted = wp_var("x") - WordPoly.constant(x0)
     for zeros, expect_order in ((2, 2.0), (3, 3.0)):
-        p = shifted**zeros
+        p = ncpoly_from_words(shifted**zeros)
         assert eval_poly(p, x0).is_zero()
         for vanished in range(1, zeros):
             dk = sym_derivative(p, vanished).substitute_element("x", x0)
@@ -222,7 +230,7 @@ def test_infinitesimal_order():
 
 def test_ncpoly_word_round_trip():
     rng = random.Random(19)
-    p = random_monomial(rng, 3) + random_monomial(rng, 1)
+    p = concat(random_monomial(rng, 3), random_monomial(rng, 1))
     again = ncpoly_from_words(p.to_words(), "x")
     assert extensional_equal(again.to_words(), p.to_words())
     x = random_element(rng)
@@ -269,14 +277,34 @@ def test_canonicalization_preserves_value():
 
 
 def test_ncpoly_arithmetic_is_pointwise():
+    # WordPoly is the polynomial algebra: its sums, products, negation and
+    # powers evaluate like the same operations on the values.
     rng = random.Random(29)
     for _ in range(15):
-        p = random_monomial(rng, rng.randint(0, 3)) + random_monomial(rng, 1)
-        q = random_monomial(rng, rng.randint(0, 2))
-        x = random_element(rng)
-        assert eval_poly(p + q, x) == eval_poly(p, x) + eval_poly(q, x)
-        assert eval_poly(p * q, x) == mul(eval_poly(p, x), eval_poly(q, x))
-        assert eval_poly(-p, x) == -eval_poly(p, x)
+        p = concat(random_monomial(rng, rng.randint(0, 3)), random_monomial(rng, 1)).to_words()
+        q = random_monomial(rng, rng.randint(0, 2)).to_words()
+        x = {"x": random_element(rng)}
+        px, qx = word_eval(p, x), word_eval(q, x)
+        assert word_eval(p + q, x) == px + qx
+        assert word_eval(p - q, x) == px - qx
+        assert word_eval(p * q, x) == mul(px, qx)
+        assert word_eval(-p, x) == -px
+        assert word_eval(q**3, x) == mul(mul(qx, qx), qx)
+
+
+def test_word_poly_power():
+    x, h = wp_var("x"), wp_var("h")
+    for w in (x, x + WordPoly.constant(I), WordPoly.constant(J) * x * h, WordPoly.zero(H)):
+        assert w**0 == WordPoly.constant(ONE)
+        product = WordPoly.constant(ONE)
+        for k in range(1, 6):
+            product = product * w
+            assert w**k == product
+        with pytest.raises(RangeError):
+            w ** -1
+    # (x+i+j)^9 holds 3,501 words, so the tenth factor would build 10,503.
+    with pytest.raises(DegreeTooLarge):
+        (x + WordPoly.constant(I) + WordPoly.constant(J)) ** 10
 
 
 def reference_taylor_terms(p, y0):
@@ -284,7 +312,8 @@ def reference_taylor_terms(p, y0):
 
     The algorithm taylor_poly used before it built terms from k-subsets.
     """
-    terms = [NCPoly.constant(eval_poly(p, y0))]
+    c = eval_poly(p, y0)
+    terms = [NCPoly(p.alg, (Monomial((c,)),) if c else ())]
     for k in range(1, max(p.degree, 0) + 1):
         dk_at = diagonal(sym_derivative(p, k), k).substitute_element("x", y0)
         terms.append(ncpoly_from_words(Fraction(1, math.factorial(k)) * dk_at, "h"))
@@ -380,7 +409,7 @@ def test_reconstruct_merges_like_build(inputs):
 
 def test_taylor_of_zero_polynomial():
     for y0 in (H.zero, H.element([1, -2, 3, Fraction(1, 2)])):
-        t = taylor_poly(NCPoly.zero(H), y0)
+        t = taylor_poly(NCPoly(H, ()), y0)
         assert [term.monomials for term in t.terms] == [()]
         assert t.reconstruct().to_words().is_zero()
 
@@ -401,12 +430,29 @@ def test_taylor_term_has_one_monomial_per_subset():
 def test_derivative_size_guard():
     # x^9 to order 9 would build 9! words; the guard refuses before building.
     with pytest.raises(DegreeTooLarge):
-        sym_derivative(X**9, 9)
+        sym_derivative(poly("x^9"), 9)
     assert math.perm(9, 9) > MAX_DERIVATIVE_WORDS
-    assert len(sym_derivative(X**7, 7).terms) == math.factorial(7)
-    two = random_monomial(random.Random(37), 7) + random_monomial(random.Random(41), 7)
+    assert len(sym_derivative(poly("x^7"), 7).terms) == math.factorial(7)
+    two = concat(random_monomial(random.Random(37), 7), random_monomial(random.Random(41), 7))
     with pytest.raises(DegreeTooLarge):
-        sym_derivative(two + two + two + two, 7)
+        sym_derivative(concat(two, two, two, two), 7)
+
+
+def test_sym_derivative_stops_at_zero(monkeypatch):
+    # x^2 vanishes at order 3; the order past it must not cost a step each.
+    calls = []
+    derivative = WordPoly.derivative
+
+    def counted(self, name, new_symbol):
+        calls.append(new_symbol)
+        assert len(calls) <= 3, "differentiated past zero"
+        return derivative(self, name, new_symbol)
+
+    monkeypatch.setattr(WordPoly, "derivative", counted)
+    assert sym_derivative(poly("x^2"), 10**12).is_zero()
+    assert calls == ["h1", "h2", "h3"]
+    assert sym_derivative(NCPoly(H, ()), 10**12).is_zero()
+    assert calls == ["h1", "h2", "h3"]
 
 
 def test_taylor_size_guard():
@@ -414,10 +460,10 @@ def test_taylor_size_guard():
     # building: one monomial of degree `over`, or two of degree over - 1.
     over = MAX_TAYLOR_WORDS.bit_length()
     with pytest.raises(DegreeTooLarge):
-        taylor_poly(X**over, H.one)
+        taylor_poly(poly(f"x^{over}"), H.one)
     with pytest.raises(DegreeTooLarge):
-        taylor_poly(X ** (over - 1) + X ** (over - 1), H.one)
-    assert len(taylor_poly(X**6, H.one).terms) == 7
+        taylor_poly(concat(poly(f"x^{over - 1}"), poly(f"x^{over - 1}")), H.one)
+    assert len(taylor_poly(poly("x^6"), H.one).terms) == 7
 
 
 def test_product_size_guard():
