@@ -25,12 +25,13 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add, attrgetter, sub
-from typing import Callable, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 from .errors import (
     AlgebraMismatch,
     AxiomViolated,
     DimensionMismatch,
+    NcdrError,
     NotInvertible,
     ParseError,
     WrongDimension,
@@ -163,10 +164,10 @@ class AlgebraSpec:
     @classmethod
     def from_json(cls, text: str) -> "AlgebraSpec":
         """Parse to_json's document; ParseError when it is malformed."""
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"algebra document is not JSON: {exc}") from exc
+        return _read_json(text, "algebra document", cls._from_doc)
+
+    @classmethod
+    def _from_doc(cls, doc: Any) -> "AlgebraSpec":
         if not isinstance(doc, dict):
             raise ParseError("algebra document must be a JSON object")
         missing = [key for key in ("name", "dim", "structure") if key not in doc]
@@ -175,17 +176,14 @@ class AlgebraSpec:
         name, n = doc["name"], doc["dim"]
         if not isinstance(name, str) or type(n) is not int:
             raise ParseError("algebra name must be a string and dim an integer")
-        try:
-            flat = [Fraction(s) for s in doc["structure"]]
-            signs = tuple(int(s) for s in doc.get("conj_signs") or ())
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad structure constant or conj sign: {exc}") from exc
+        flat = [Fraction(s) for s in doc["structure"]]
         if len(flat) != n ** 3:
             raise ParseError("structure array must hold dim^3 entries")
         C = tuple(
             tuple(tuple(flat[(k * n + l) * n + p] for p in range(n)) for l in range(n))
             for k in range(n)
         )
+        signs = tuple(int(s) for s in doc.get("conj_signs") or ())
         return cls(name=name, dim=n, structure=C, conj_signs=signs or None)
 
 
@@ -514,3 +512,14 @@ def element_to_strings(x: Element) -> list[str]:
 
 def element_from_strings(alg: AlgebraSpec, coords: Sequence[str]) -> Element:
     return alg.element([Fraction(s) for s in coords])
+
+
+def _read_json(text: str, what: str, build: Callable[[Any], Any]) -> Any:
+    """build(json.loads(text)); ParseError for text that is not JSON, nests too
+    deeply or holds values build cannot read.  build's NcdrErrors pass through."""
+    try:
+        return build(json.loads(text))
+    except NcdrError:
+        raise
+    except (RecursionError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed {what}: {exc}") from exc

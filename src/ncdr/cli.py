@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import maps
-from .algebra import CANONICAL, AlgebraSpec, format_element, mul
+from .algebra import CANONICAL, AlgebraSpec, _read_json, format_element, mul
 from .errors import NcdrError, ParseError
 from .gateaux import (
     DEFAULT_CONFIG,
@@ -64,13 +64,13 @@ def _grid_from_spec(alg: AlgebraSpec, spec: str) -> list[list[Fraction]]:
         return [
             [entries[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)
         ]
-    try:
-        rows = json.loads(spec)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"cannot read matrix spec: {exc}") from exc
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ParseError("matrix spec must be a JSON list of rows")
-    return [[parse_rational(str(v)) for v in row] for row in rows]
+
+    def grid(rows) -> list[list[Fraction]]:
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ParseError("matrix spec must be a JSON list of rows")
+        return [[parse_rational(str(v)) for v in row] for row in rows]
+
+    return _read_json(spec, "matrix spec", grid)
 
 
 def _print_grid(rows, as_json: bool) -> None:

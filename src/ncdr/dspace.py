@@ -19,6 +19,7 @@ from . import exactla
 from .algebra import (
     AlgebraSpec,
     Element,
+    _read_json,
     element_from_strings,
     element_to_strings,
     mul,
@@ -120,8 +121,8 @@ class DMatrix:
 
     @classmethod
     def from_json(cls, alg: AlgebraSpec, text: str) -> "DMatrix":
-        grid = json.loads(text)
-        return cls(tuple(tuple(element_from_strings(alg, e) for e in row) for row in grid))
+        return _read_json(text, "D-matrix", lambda grid: cls(
+            tuple(tuple(element_from_strings(alg, e) for e in row) for row in grid)))
 
 
 def lin_comb(a: Element, v: DVector, b: Element, c: Element, w: DVector, d: Element) -> DVector:
@@ -139,33 +140,25 @@ def lin_comb(a: Element, v: DVector, b: Element, c: Element, w: DVector, d: Elem
 def dmatrix_inverse(A: DMatrix) -> DMatrix:
     """Two-sided inverse of a square matrix over an n-dimensional algebra.
 
-    Embeds entrywise into a rational nr x nr block matrix, inverts exactly,
-    and maps each block back through the left-action pattern.  Raises
-    Singular when no inverse exists; NotQuaternionBlock if a block of the
-    inverse fails the pattern (cannot happen for valid input).
+    Embeds entrywise into a rational nr x nr block matrix M, inverts it
+    exactly (Singular if it cannot), and reads each block's entry off its
+    first column.  The result B is checked once, as B @ A == I over D, which
+    holds exactly when every block of M^-1 is the left-action matrix of its
+    entry; NotQuaternionBlock reports a failure (impossible for valid input).
     """
-    rows, cols = A.shape
-    if rows != cols:
+    r, cols = A.shape
+    if r != cols:
         raise DimensionMismatch("only square matrices invert")
     alg = A.alg
     n = alg.dim
-    r = rows
     blocks = [[embed_matrix(e).mat for e in row] for row in A.entries]
     big = [[v for block in brow for v in block[bi]] for brow in blocks for bi in range(n)]
     inv = exactla.inverse(big)  # Singular propagates
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            candidate = alg.element([inv[n * i + bi][n * j] for bi in range(n)])
-            pattern = embed_matrix(candidate).mat
-            if any(inv[n * i + bi][n * j : n * j + n] != list(pattern[bi]) for bi in range(n)):
-                raise NotQuaternionBlock(
-                    f"inverse block ({i},{j}) is not a left-action matrix"
-                )
-            row.append(candidate)
-        out.append(tuple(row))
-    return DMatrix(tuple(out))
+    B = DMatrix(tuple(tuple(alg.element([inv[n * i + bi][n * j] for bi in range(n)])
+                            for j in range(r)) for i in range(r)))
+    if B @ A != DMatrix.identity(alg, r):
+        raise NotQuaternionBlock("the inverse's blocks are not left-action matrices")
+    return B
 
 
 def dual_basis(A: DMatrix) -> DMatrix:
@@ -210,8 +203,8 @@ class ComponentMap:
     @classmethod
     def from_json(cls, alg: AlgebraSpec, text: str) -> "ComponentMap":
         read = element_from_strings
-        return cls.from_lists(alg, [[[(read(alg, u), read(alg, v)) for u, v in cell]
-                                     for cell in row] for row in json.loads(text)])
+        return _read_json(text, "component map", lambda doc: cls.from_lists(
+            alg, [[[(read(alg, u), read(alg, v)) for u, v in cell] for cell in row] for row in doc]))
 
 
 def apply_component_map(M: ComponentMap, v: DVector) -> DVector:
@@ -231,32 +224,24 @@ def apply_component_map(M: ComponentMap, v: DVector) -> DVector:
 def component_sum_to_std(M: ComponentMap) -> StdComponents:
     """Standard components of a 1 x 1 map x -> sum_s u_s x v_s.
 
-    f^{ij} = sum_s u_s^i v_s^j, the superposed outer products.  Exact pairs
-    sum integer numerators over one common denominator.
+    f^{ij} = sum_s u_s^i v_s^j, the superposed outer products, summed as
+    integer numerators over one common denominator.  Exact pairs only: a
+    float element raises TypeError.
     """
     if M.rows != 1 or M.cols != 1:
         raise DimensionMismatch("standard components need a 1 x 1 component map")
     n = M.alg.dim
     pairs = [(u._ints, v._ints) for u, v in M.pairs[0][0]]
-    if all(a is not None and b is not None for a, b in pairs):
-        den = math.lcm(*[du * dv for (_, du), (_, dv) in pairs])
-        acc = [[0] * n for _ in range(n)]
-        for (un, du), (vn, dv) in pairs:
-            s = den // (du * dv)
-            for a, row in zip(un, acc):
-                if a:
-                    a *= s
-                    for j, b in enumerate(vn):
-                        row[j] += a * b
-        out = [[Fraction(v, den) for v in row] for row in acc]
-    else:
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for u, v in M.pairs[0][0]:
-            for i in range(n):
-                if u.coords[i]:
-                    for j in range(n):
-                        out[i][j] += u.coords[i] * v.coords[j]
-    return StdComponents(M.alg, tuple(tuple(r) for r in out))
+    den = math.lcm(*[du * dv for (_, du), (_, dv) in pairs])
+    acc = [[0] * n for _ in range(n)]
+    for (un, du), (vn, dv) in pairs:
+        s = den // (du * dv)
+        for a, row in zip(un, acc):
+            if a:
+                a *= s
+                for j, b in enumerate(vn):
+                    row[j] += a * b
+    return StdComponents(M.alg, tuple(tuple(Fraction(v, den) for v in row) for row in acc))
 
 
 def compose_component_maps(B: ComponentMap, A: ComponentMap) -> ComponentMap:

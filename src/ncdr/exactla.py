@@ -147,27 +147,29 @@ def nullspace(M: Matrix) -> list[Vector]:
     return _kernel(R, pivots, len(M[0]))
 
 
-def solve(M: Matrix, b: Vector) -> Vector | None:
-    """One solution of M x = b (free variables at 0), or None if inconsistent."""
-    aug = [row[:] + [rhs] for row, rhs in zip(M, b)]
-    R, pivots = rref(aug)
+def _solve_rref(M: Matrix, b: Vector) -> tuple[Vector | None, Matrix, list[int]]:
+    """solve's x (None if inconsistent) with the rref R and pivots of [M | b]."""
     cols = len(M[0])
+    R, pivots = rref([row + [rhs] for row, rhs in zip(M, b)])
     if cols in pivots:
-        return None
+        return None, R, pivots
     x = [Fraction(0)] * cols
     for row, pc in enumerate(pivots):
         x[pc] = R[row][cols]
-    return x
+    return x, R, pivots
+
+
+def solve(M: Matrix, b: Vector) -> Vector | None:
+    """One solution of M x = b (free variables at 0), or None if inconsistent."""
+    return _solve_rref(M, b)[0]
 
 
 def inverse(M: Matrix) -> Matrix:
-    """Exact inverse; raises Singular when rank deficient."""
-    n = len(M)
-    aug = [row[:] + ident_row[:] for row, ident_row in zip(M, identity(n))]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
+    """Exact inverse of square M; raises Singular when rank deficient."""
+    inv = eliminate_square(M).inverse
+    if inv is None:
         raise Singular("matrix has no inverse over the rationals")
-    return [row[n:] for row in R]
+    return inv
 
 
 class SquareElimination(NamedTuple):
@@ -201,17 +203,16 @@ def eliminate_square(M: Matrix) -> SquareElimination:
 def min_norm_solution(M: Matrix, b: Vector) -> Vector | None:
     """The solution of M x = b of least Euclidean norm, or None if none exists.
 
-    Computed as x0 - N (N^T N)^{-1} N^T x0 with N a kernel basis; exact since
-    the Gram matrix of an independent rational family is invertible.
+    Computed as x0 - N (N^T N)^{-1} N^T x0, with x0 and the kernel basis N
+    both read off one elimination of [M | b]; exact since the Gram matrix of
+    an independent rational family is invertible.
     """
-    x0 = solve(M, b)
+    x0, R, pivots = _solve_rref(M, b)
     if x0 is None:
         return None
-    N = nullspace(M)
+    N = _kernel(R, pivots, len(x0))  # rows are the kernel basis vectors
     if not N:
         return x0
-    Nt = N  # rows of Nt are the kernel basis vectors
-    gram = [[sum(u[i] * v[i] for i in range(len(x0))) for v in Nt] for u in Nt]
-    rhs = [sum(u[i] * x0[i] for i in range(len(x0))) for u in Nt]
-    z = mat_vec(inverse(gram), rhs)
-    return [x0[i] - sum(z[k] * Nt[k][i] for k in range(len(Nt))) for i in range(len(x0))]
+    gram = [[sum(a * c for a, c in zip(u, v)) for v in N] for u in N]
+    z = solve(gram, [sum(a * c for a, c in zip(u, x0)) for u in N])
+    return [x0[i] - sum(z[k] * N[k][i] for k in range(len(N))) for i in range(len(x0))]

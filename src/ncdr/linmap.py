@@ -10,9 +10,13 @@ The exact layer runs on integers.  big_c keeps mat and its inverse as integer
 rows, so std_to_coord and an invertible coord_to_std are one row-vector product
 each; compose_std and embed_matrix sum numerators over the structure triples,
 and CoordMatrix.apply multiplies an exact element's numerators by integer rows.
-Only final entries become Fractions.  Float components (least-squares
-differentials) make std_to_coord sum float(constant) * float(component) in
-(k, r) order over the nonzero constants.
+Only final entries become Fractions.
+
+CoordMatrix.apply and @, embed_matrix, coord_to_std, compose_std, kernel_rank
+and change_basis take exact scalars only; apply and embed_matrix raise
+TypeError on a float element or float-entry matrix.  std_to_coord also takes
+float components (least-squares differentials), summing float(constant) *
+float(component) in (k, r) order over the nonzero constants.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from . import exactla
-from .algebra import AlgebraSpec, Element, ScalarLike, _reduced, as_scalar, mul
+from .algebra import AlgebraSpec, Element, ScalarLike, _read_json, _reduced, as_scalar, mul
 from .errors import (
     AlgebraMismatch,
     DegreeTooLarge,
@@ -69,7 +73,7 @@ class StdComponents:
 
     @classmethod
     def from_json(cls, alg: AlgebraSpec, text: str) -> "StdComponents":
-        return cls.from_rows(alg, json.loads(text))
+        return _read_json(text, "standard components", lambda rows: cls.from_rows(alg, rows))
 
 
 @dataclass(frozen=True)
@@ -94,31 +98,22 @@ class CoordMatrix:
         return cls.from_rows(alg, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @cached_property
-    def _ints(self) -> tuple[list[list[int]], int] | None:
-        """mat as integer rows over one denominator; None if an entry is a float."""
+    def _ints(self) -> tuple[list[list[int]], int]:
+        """mat as integer rows over one denominator; exact entries only."""
         flat = [v for row in self.mat for v in row]
         if any(isinstance(v, float) for v in flat):
-            return None
+            raise TypeError("a coordinate matrix with float entries has no integer rows")
         nums, den = exactla.numerators(flat)
         n = self.alg.dim
         return [nums[j : j + n] for j in range(0, n * n, n)], den
 
     def apply(self, a: Element) -> Element:
+        """The image of an exact element; exact entries only."""
         if a.alg != self.alg:
             raise AlgebraMismatch("element belongs to a different algebra")
-        m, x = self._ints, a._ints
-        if m is not None and x is not None:
-            (rows, dm), (num, dx) = m, x
-            acc = [sum([c * v for c, v in zip(row, num)]) for row in rows]
-            return _reduced(self.alg, acc, dm * dx)
-        n = self.alg.dim
-        return Element(
-            self.alg,
-            tuple(
-                sum((self.mat[j][i] * a.coords[i] for i in range(n)), Fraction(0))
-                for j in range(n)
-            ),
-        )
+        (rows, dm), (num, dx) = self._ints, a._ints
+        acc = [sum([c * v for c, v in zip(row, num)]) for row in rows]
+        return _reduced(self.alg, acc, dm * dx)
 
     def __matmul__(self, other: "CoordMatrix") -> "CoordMatrix":
         if self.alg != other.alg:
@@ -131,7 +126,7 @@ class CoordMatrix:
 
     @classmethod
     def from_json(cls, alg: AlgebraSpec, text: str) -> "CoordMatrix":
-        return cls.from_rows(alg, json.loads(text))
+        return _read_json(text, "coordinate matrix", lambda rows: cls.from_rows(alg, rows))
 
 
 def embed_matrix(a: Element) -> CoordMatrix:
@@ -307,15 +302,11 @@ class KernelInfo:
 
 
 def kernel_rank(m: CoordMatrix) -> KernelInfo:
-    """Rank of the coordinate matrix; a kernel witness when singular."""
-    rows = [list(r) for r in m.mat]
-    r = exactla.rank(rows)
-    singular = r < m.alg.dim
-    witness = None
-    if singular:
-        basis = exactla.nullspace(rows)
-        witness = m.alg.element(basis[0])
-    return KernelInfo(rank=r, is_singular=singular, kernel_vector=witness)
+    """Rank of the coordinate matrix, n less its kernel's dimension, and a
+    kernel witness when singular: both from one elimination."""
+    basis = exactla.nullspace([list(r) for r in m.mat])
+    witness = m.alg.element(basis[0]) if basis else None
+    return KernelInfo(rank=m.alg.dim - len(basis), is_singular=bool(basis), kernel_vector=witness)
 
 
 def change_basis(m: CoordMatrix, A: Sequence[Sequence[ScalarLike]] | CoordMatrix) -> CoordMatrix:

@@ -28,7 +28,8 @@ evaluating on every basis binding of the symbol alphabet.  Constants are
 fused once, as a word is built or filled in.  Sums, rename, derivative and
 scaling by a rational combine words that are already canonical or change
 their variable names or scalars, so they merge equal words and sort without
-a second fusion pass.
+a second fusion pass; two or more terms that are a single constant are
+summed into one.
 sym_derivative and taylor_poly raise DegreeTooLarge beyond
 MAX_DERIVATIVE_WORDS and MAX_TAYLOR_WORDS, and a product of word polynomials
 beyond MAX_PRODUCT_WORDS.
@@ -61,7 +62,7 @@ MAX_DERIVATIVE_WORDS = 20_000
 #: Most words taylor_poly builds over all its terms: the sum of 2^n.
 MAX_TAYLOR_WORDS = 2**12
 #: Most words a product of word polynomials builds: the product of their term
-#: counts.  A power of a sum reaches it first: (x+i+j)^9 in H builds 4,425.
+#: counts.  A power of a sum reaches it first: (x+i+j)^17 in H builds 8,360.
 MAX_PRODUCT_WORDS = 10_000
 
 
@@ -119,14 +120,26 @@ def _append(out: Word, scale: Fraction, f: Factor) -> tuple[Word, Fraction] | No
 
 
 def _collect(raw: Iterable[Term]) -> tuple[Term, ...]:
-    """Merge equal words and sort; every word must already be canonical."""
+    """Merge equal words and sort; every word must already be canonical.
+
+    Two or more terms that are a single constant become the one term of
+    their sum, fused like any constant; a lone one keeps its scale.
+    """
     collected: dict[Word, Fraction] = {}
+    consts: list[Term] = []
     for coeff, word in raw:
+        if len(word) == 1 and isinstance(word[0], Const):
+            consts.append((coeff, word))
+            continue
         # setdefault hashes the word once where it is new.
         size = len(collected)
         prev = collected.setdefault(word, coeff)
         if len(collected) == size:
             collected[word] = prev + coeff
+    if len(consts) > 1:
+        values = [w[0].value * c for c, w in consts]
+        consts = WordPoly.constant(sum(values[1:], values[0])).terms
+    collected.update((w, c) for c, w in consts)
     terms = [(c, w) for w, c in collected.items() if c]
     terms.sort(key=lambda t: tuple(f._key for f in t[1]))
     return tuple(terms)

@@ -155,11 +155,11 @@ GOLDEN = [
     (("poly", "taylor", "--poly", "(1+i)*x^2", "--at", "2"),
      "about 2+0i+0j+0k, in h = x - (2+0i+0j+0k):\n"
      "  degree 0: (4+4i+0j+0k)\n"
-     "  degree 1: 4*h + (0+4i+0j+0k)*h\n"
-     "  degree 2: h*h + (0+1i+0j+0k)*h*h\n"),
+     "  degree 1: (4+4i+0j+0k)*h\n"
+     "  degree 2: (1+1i+0j+0k)*h*h\n"),
     (("poly", "taylor", "--poly", "(1+i)*x^2", "--at", "2", "--json"),
-     '{"base_point": "2+0i+0j+0k", "terms": ["(4+4i+0j+0k)", "4*h + (0+4i+0j+0k)*h", '
-     '"h*h + (0+1i+0j+0k)*h*h"]}\n'),
+     '{"base_point": "2+0i+0j+0k", "terms": ["(4+4i+0j+0k)", "(4+4i+0j+0k)*h", '
+     '"(1+1i+0j+0k)*h*h"]}\n'),
     (("poly", "taylor", "--poly", "i*x*2*x*j", "--at", "3"),
      "about 3+0i+0j+0k, in h = x - (3+0i+0j+0k):\n"
      "  degree 0: (0+0i+0j+18k)\n"
@@ -169,15 +169,15 @@ GOLDEN = [
      '{"base_point": "3+0i+0j+0k", "terms": ["(0+0i+0j+18k)", '
      '"(0+12i+0j+0k)*h*(0+0i+1j+0k)", "(0+2i+0j+0k)*h*h*(0+0i+1j+0k)"]}\n'),
     (("poly", "derive", "--poly", "(1+i)*x^2", "--order", "1"),
-     "h1*x + x*h1 + (0+1i+0j+0k)*h1*x + (0+1i+0j+0k)*x*h1\n"),
+     "(1+1i+0j+0k)*h1*x + (1+1i+0j+0k)*x*h1\n"),
     (("poly", "derive", "--poly", "i*x*2*x*j", "--order", "2", "--json"),
      '{"order": 2, "derivative": "(0+2i+0j+0k)*h1*h2*(0+0i+1j+0k) + '
      '(0+2i+0j+0k)*h2*h1*(0+0i+1j+0k)"}\n'),
     (("poly", "derive", "--poly", "x^2", "--order", "1000000000000"), "0\n"),
     (("ode", "solve", "--rhs", "h*x + x*h", "--x0", "1+1i", "--y0", "1-2k"),
-     "y(x) = x*x + (0-2i+0j+0k) + (1+0i+0j-2k)\n"),
+     "y(x) = x*x + (1-2i+0j-2k)\n"),
     (("ode", "solve", "--rhs", "h*x + x*h", "--x0", "1+1i", "--y0", "1-2k", "--json"),
-     '{"solution": "x*x + (0-2i+0j+0k) + (1+0i+0j-2k)", "orders": 3, "terminated": true}\n'),
+     '{"solution": "x*x + (1-2i+0j-2k)", "orders": 3, "terminated": true}\n'),
     (("ode", "solve", "--rhs", "i*h*j", "--x0", "0", "--y0", "1"),
      "y(x) = (0+1i+0j+0k)*x*(0+0i+1j+0k) + (1+0i+0j+0k)\n"),
 ]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncdr import exactla
 from ncdr.algebra import QUATERNIONS, mul
 from ncdr.dspace import (
     ComponentMap,
@@ -17,7 +18,8 @@ from ncdr.dspace import (
     lin_comb,
     shift_components,
 )
-from ncdr.errors import DimensionMismatch, Singular
+from ncdr.errors import DimensionMismatch, NotQuaternionBlock, ParseError, Singular
+from ncdr.linmap import CoordMatrix, StdComponents
 
 H = QUATERNIONS
 ONE, I, J, K = (H.basis(n) for n in range(4))
@@ -83,6 +85,23 @@ def test_dmatrix_inverse_singular():
     M = DMatrix(((ONE, J), (I, mul(I, J))))
     with pytest.raises(Singular):
         dmatrix_inverse(M)
+
+
+def test_wrong_inverse_is_not_a_quaternion_block(monkeypatch):
+    true_inverse = exactla.inverse
+
+    def forged(M):
+        # One entry off in the first column of block (0, 0): that block is no
+        # left-action matrix, and the entry it reads is wrong.
+        inv = true_inverse(M)
+        inv[1][0] += 1
+        return inv
+
+    A = DMatrix(((ONE + I, J), (K, ONE)))
+    assert dmatrix_inverse(A) @ A == DMatrix.identity(H, 2)
+    monkeypatch.setattr(exactla, "inverse", forged)
+    with pytest.raises(NotQuaternionBlock):
+        dmatrix_inverse(A)
 
 
 def test_dual_basis():
@@ -193,3 +212,17 @@ def test_json_round_trips():
     assert DMatrix.from_json(H, M.to_json()) == M
     cm = random_component_map(rng, 2, 2)
     assert ComponentMap.from_json(H, cm.to_json()) == cm
+
+
+MALFORMED = ("not json", "[" * 100_000 + "]" * 100_000, "[[1,2]]", '[["1/0"]]')
+
+
+@pytest.mark.parametrize("cls", [StdComponents, CoordMatrix, DMatrix, ComponentMap],
+                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("text", MALFORMED, ids=("text", "deep", "numbers", "zero-denominator"))
+def test_from_json_rejects_malformed_documents(cls, text):
+    # Grids of StdComponents and CoordMatrix take numbers as well as strings,
+    # so [[1,2]] is a well-formed document of the wrong size there.
+    wrong_size = text == "[[1,2]]" and cls in (StdComponents, CoordMatrix)
+    with pytest.raises(DimensionMismatch if wrong_size else ParseError):
+        cls.from_json(H, text)

@@ -1,0 +1,220 @@
+"""One fraction-free elimination per exact inverse, solve, rank and kernel.
+
+exactla.inverse reads eliminate_square, min_norm_solution takes its
+particular solution and its kernel from one elimination of [M | b],
+kernel_rank reads rank and witness off one nullspace, and dmatrix_inverse
+checks its result once, as B @ A == I over D.  The compositions they replaced
+are kept here as references: results must be equal, entry types included,
+on H, C and E(a, b), split algebras included.  Counting wrappers pin the
+number of eliminations and embeddings.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_exactla import matrices
+from test_general_algebras import block_matrix, dmatrices, elements, std_maps
+from test_mul_kernels import algebras
+
+from ncdr import dspace, exactla
+from ncdr.algebra import COMPLEX, QUATERNIONS
+from ncdr.dspace import DMatrix, dmatrix_inverse
+from ncdr.errors import NotQuaternionBlock, Singular
+from ncdr.linmap import (
+    CoordMatrix,
+    KernelInfo,
+    StdComponents,
+    big_c,
+    coord_to_std,
+    embed_matrix,
+    kernel_rank,
+    std_to_coord,
+)
+
+
+def reference_inverse(M):
+    n = len(M)
+    aug = [row[:] + ident_row[:] for row, ident_row in zip(M, exactla.identity(n))]
+    R, pivots = exactla.rref(aug)
+    if pivots != list(range(n)):
+        raise Singular("matrix has no inverse over the rationals")
+    return [row[n:] for row in R]
+
+
+def reference_min_norm_solution(M, b):
+    x0 = exactla.solve(M, b)
+    if x0 is None:
+        return None
+    N = exactla.nullspace(M)
+    if not N:
+        return x0
+    gram = [[sum(u[i] * v[i] for i in range(len(x0))) for v in N] for u in N]
+    rhs = [sum(u[i] * x0[i] for i in range(len(x0))) for u in N]
+    z = exactla.mat_vec(reference_inverse(gram), rhs)
+    return [x0[i] - sum(z[k] * N[k][i] for k in range(len(N))) for i in range(len(x0))]
+
+
+def reference_kernel_rank(m):
+    rows = [list(r) for r in m.mat]
+    r = exactla.rank(rows)
+    singular = r < m.alg.dim
+    witness = None
+    if singular:
+        witness = m.alg.element(exactla.nullspace(rows)[0])
+    return KernelInfo(rank=r, is_singular=singular, kernel_vector=witness)
+
+
+def reference_dmatrix_inverse(A):
+    """Inverts the block embedding and re-embeds every block to check it."""
+    n, r = A.alg.dim, A.shape[0]
+    blocks = [[embed_matrix(e).mat for e in row] for row in A.entries]
+    big = [[v for block in brow for v in block[bi]] for brow in blocks for bi in range(n)]
+    inv = reference_inverse(big)
+    out = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            candidate = A.alg.element([inv[n * i + bi][n * j] for bi in range(n)])
+            pattern = embed_matrix(candidate).mat
+            if any(inv[n * i + bi][n * j : n * j + n] != list(pattern[bi]) for bi in range(n)):
+                raise NotQuaternionBlock(f"inverse block ({i},{j}) is not a left-action matrix")
+            row.append(candidate)
+        out.append(tuple(row))
+    return DMatrix(tuple(out))
+
+
+def outcome(f, *args):
+    """f's result, or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Singular:
+        return Singular
+
+
+def assert_fractions(values):
+    assert all(type(v) is Fraction for v in values)
+
+
+def assert_exact(element):
+    assert element._ints is not None
+    assert_fractions(element.coords)
+
+
+@given(dmatrices())
+@settings(max_examples=100, deadline=None)
+def test_inverse_and_dmatrix_inverse_match_references(A):
+    big = block_matrix(A)
+    got = outcome(exactla.inverse, big)
+    assert got == outcome(reference_inverse, big)
+    if got is not Singular:
+        assert_fractions(v for row in got for v in row)
+    got = outcome(dmatrix_inverse, A)
+    assert got == outcome(reference_dmatrix_inverse, A)
+    if got is not Singular:
+        for row in got.entries:
+            for e in row:
+                assert_exact(e)
+
+
+@given(algebras.flatmap(lambda alg: st.tuples(std_maps(alg), std_maps(alg))))
+@settings(max_examples=100, deadline=None)
+def test_min_norm_solution_matches_reference_on_big_c(fg):
+    # big_c of C is singular: a coordinate matrix of a map is in its range,
+    # a drawn grid mostly is not.
+    f, g = fg
+    M = [list(row) for row in big_c(f.alg).mat]
+    for grid in (std_to_coord(f).mat, g.comps):
+        b = [v for row in grid for v in row]
+        got = exactla.min_norm_solution(M, b)
+        assert got == reference_min_norm_solution(M, b)
+        if got is not None:
+            assert_fractions(got)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_min_norm_solution_matches_reference_on_general_matrices(M, data):
+    # b = M x is consistent; a drawn b mostly is not when M is deficient.
+    scalars = st.fractions(-9, 9, max_denominator=12)
+    x = data.draw(st.lists(scalars, min_size=len(M[0]), max_size=len(M[0])))
+    drawn = data.draw(st.lists(scalars, min_size=len(M), max_size=len(M)))
+    for b in (exactla.mat_vec(M, x), drawn):
+        got = exactla.min_norm_solution(M, b)
+        assert got == reference_min_norm_solution(M, b)
+        if got is not None:
+            assert_fractions(got)
+
+
+@st.composite
+def coordinate_matrices(draw):
+    """Coordinate matrices over the algebras: embeddings, converted maps,
+    and products of an n x r and an r x n block with r < n (singular)."""
+    alg = draw(algebras)
+    n = alg.dim
+    kind = draw(st.sampled_from(["embedding", "converted", "deficient"]))
+    if kind == "embedding":
+        return embed_matrix(draw(elements(alg)))
+    if kind == "converted":
+        return std_to_coord(draw(std_maps(alg)))
+    inner = draw(st.integers(0, n - 1))
+    entries = st.fractions(-5, 5, max_denominator=4)
+    left = [draw(st.lists(entries, min_size=inner, max_size=inner)) for _ in range(n)]
+    right = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(inner)]
+    prod = exactla.mat_mul(left, right) if inner else [[Fraction(0)] * n for _ in range(n)]
+    return CoordMatrix.from_rows(alg, prod)
+
+
+@given(coordinate_matrices())
+@settings(max_examples=200, deadline=None)
+def test_kernel_rank_matches_reference(m):
+    got = kernel_rank(m)
+    assert got == reference_kernel_rank(m)
+    assert type(got.rank) is int and type(got.is_singular) is bool
+    if got.kernel_vector is not None:
+        assert_exact(got.kernel_vector)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+    fraction_free, embed = exactla._fraction_free, dspace.embed_matrix
+
+    def counted_fraction_free(A):
+        counts["eliminations"] += 1
+        return fraction_free(A)
+
+    def counted_embed(a):
+        counts["embeddings"] += 1
+        return embed(a)
+
+    monkeypatch.setattr(exactla, "_fraction_free", counted_fraction_free)
+    monkeypatch.setattr(dspace, "embed_matrix", counted_embed)
+    return counts
+
+
+def test_one_elimination_per_operation(calls):
+    big_c(COMPLEX)  # cached: its own elimination is not counted
+    f = std_to_coord(StdComponents.from_rows(COMPLEX, [[1, 2], [-3, 5]]))
+    calls.clear()
+    assert not coord_to_std(f).unique
+    # One elimination of [M | b] for x0 and the kernel, one for the Gram system.
+    assert calls["eliminations"] == 2
+
+    singular = CoordMatrix.from_rows(QUATERNIONS, [[1, 2, 0, 0], [2, 4, 0, 0],
+                                                   [0, 0, 1, 0], [0, 0, 0, 1]])
+    for m, rank in ((singular, 3), (CoordMatrix.identity(QUATERNIONS), 4)):
+        calls.clear()
+        assert kernel_rank(m).rank == rank
+        assert calls["eliminations"] == 1
+
+    H = QUATERNIONS
+    for r in (1, 2, 3):
+        A = DMatrix(tuple(tuple(H.element([1 + (i == j), i, j, 1]) for j in range(r))
+                          for i in range(r)))
+        calls.clear()
+        B = dmatrix_inverse(A)
+        assert B @ A == DMatrix.identity(H, r)
+        assert calls == {"embeddings": r * r, "eliminations": 1}

@@ -3,7 +3,8 @@
 big_c's contraction, std_to_coord, compose_std, embed_matrix and the
 associativity check of AlgebraSpec run on integer numerators over the sparse
 structure triples, and CoordMatrix.apply and component_sum_to_std on the
-integer view of exact elements.  The dense Fraction loops they replaced are kept here as
+integer view of exact elements; those two reject float inputs with
+TypeError.  The dense Fraction loops they replaced are kept here as
 references: results must be equal, entry types included, and a corrupted
 tensor must be rejected with the same message, naming the same first
 violating basis triple.  Float standard components take std_to_coord's float
@@ -13,6 +14,7 @@ branch, whose entries must be the reference's bit for bit.
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_mul_kernels import algebras
@@ -165,16 +167,24 @@ def reference_component_sum_to_std(pairs, n):
 @given(algebra_and_maps(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_element_entry_points_match_fraction_references(case, data):
+    # Exact inputs only: a float element, a float-entry matrix or a float
+    # pair raises TypeError.
     alg, f, g, a = case
     n = alg.dim
     for m in (std_to_coord(f), CoordMatrix(alg, g.comps)):
-        for x in (a, a.to_float()):
-            assert_same_grid([m.apply(x).coords], [reference_apply(m, x)])
+        assert_same_grid([m.apply(a).coords], [reference_apply(m, a)])
+        with pytest.raises(TypeError):
+            m.apply(a.to_float())
+    with pytest.raises(TypeError):
+        CoordMatrix(alg, tuple(tuple(float(v) for v in row) for row in g.comps)).apply(a)
     element = st.tuples(*[values] * n).map(lambda c: Element(alg, c))
     pairs = data.draw(st.lists(st.tuples(element, element), max_size=4).map(tuple))
-    for terms in (pairs, tuple((u.to_float(), v) for u, v in pairs)):
-        got = component_sum_to_std(ComponentMap(alg, ((terms,),))).comps
-        assert_same_grid(got, reference_component_sum_to_std(terms, n))
+    got = component_sum_to_std(ComponentMap(alg, ((pairs,),))).comps
+    assert_same_grid(got, reference_component_sum_to_std(pairs, n))
+    if pairs:
+        floaty = ((pairs[0][0].to_float(), pairs[0][1]),) + pairs[1:]
+        with pytest.raises(TypeError):
+            component_sum_to_std(ComponentMap(alg, ((floaty,),)))
 
 floats = st.one_of(st.just(0.0), st.floats(min_value=-1e6, max_value=1e6))
 

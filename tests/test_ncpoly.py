@@ -302,9 +302,10 @@ def test_word_poly_power():
             assert w**k == product
         with pytest.raises(RangeError):
             w ** -1
-    # (x+i+j)^9 holds 3,501 words, so the tenth factor would build 10,503.
+    # x+i+j is x + (i+j), two words; its words alternate x and the constant,
+    # so (x+i+j)^17 holds 6,764 and the eighteenth factor would build 13,528.
     with pytest.raises(DegreeTooLarge):
-        (x + WordPoly.constant(I) + WordPoly.constant(J)) ** 10
+        (x + WordPoly.constant(I) + WordPoly.constant(J)) ** 18
 
 
 def reference_taylor_terms(p, y0):
@@ -394,6 +395,34 @@ def test_word_poly_sums_merge_like_build(pair):
     assert (w1 - w1).is_zero()
 
 
+@st.composite
+def constant_pairs(draw):
+    """Elements a, b of H, C or E(a, b) whose sum is general, central or zero."""
+    alg = draw(st.sampled_from([H, COMPLEX, make_quaternion_algebra(2, Fraction(-3, 5))]))
+    scalars = st.fractions(-5, 5, max_denominator=4)
+    a = alg.element(draw(st.lists(scalars, min_size=alg.dim, max_size=alg.dim)))
+    kind = draw(st.sampled_from(["general", "central", "zero", "equal"]))
+    if kind == "general":
+        b = alg.element(draw(st.lists(scalars, min_size=alg.dim, max_size=alg.dim)))
+    elif kind == "central":
+        b = alg.scalar(draw(scalars)) - a
+    else:
+        b = -a if kind == "zero" else a
+    return a, b
+
+
+@given(constant_pairs())
+@settings(max_examples=150, deadline=None)
+def test_constant_words_merge_into_one(pair):
+    a, b = pair
+    got = WordPoly.constant(a) + WordPoly.constant(b)
+    assert got.terms == WordPoly.constant(a + b).terms
+    assert len(got.terms) <= 1
+    x = WordPoly.variable(a.alg, "x")
+    with_x = x + WordPoly.constant(a) + WordPoly.constant(b)
+    assert with_x.terms == (x + WordPoly.constant(a + b)).terms
+
+
 @given(taylor_inputs())
 @settings(max_examples=40, deadline=None)
 def test_reconstruct_merges_like_build(inputs):
@@ -476,4 +505,4 @@ def test_product_size_guard():
     assert len((many * wp_var("y")).terms) == side
     with pytest.raises(DegreeTooLarge):
         parse_word_poly(H, "(x+i+j)^20")
-    assert len(parse_word_poly(H, "(x+i+j)^9").terms) == 3501
+    assert len(parse_word_poly(H, "(x+i+j)^17").terms) == 6764
