@@ -57,7 +57,8 @@ class NotRepresentable(NcdrError):
 
 
 class DegreeTooLarge(NcdrError):
-    """Enumeration-based check beyond its supported degree."""
+    """Size guard: a symbolic computation would build or evaluate more words
+    than its limit admits."""
 
 
 class NonConvergent(NcdrError):

@@ -27,8 +27,14 @@ def identity(n: int) -> Matrix:
 
 
 def numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Rationals as integer numerators over the lcm of their denominators."""
-    d = lcm(*[v.denominator for v in values])
+    """Rationals as integer numerators over the lcm of their denominators.
+
+    TypeError for an entry without a denominator, such as a float.
+    """
+    try:
+        d = lcm(*[v.denominator for v in values])
+    except AttributeError:
+        raise TypeError("exact entries only: a float has no denominator") from None
     return [v.numerator * (d // v.denominator) for v in values], d
 
 

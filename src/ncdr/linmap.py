@@ -13,10 +13,10 @@ and CoordMatrix.apply multiplies an exact element's numerators by integer rows.
 Only final entries become Fractions.
 
 CoordMatrix.apply and @, embed_matrix, coord_to_std, compose_std, kernel_rank
-and change_basis take exact scalars only; apply and embed_matrix raise
-TypeError on a float element or float-entry matrix.  std_to_coord also takes
-float components (least-squares differentials), summing float(constant) *
-float(component) in (k, r) order over the nonzero constants.
+and change_basis take exact scalars only; each raises TypeError on a float
+element or float-entry matrix.  std_to_coord also takes float components
+(least-squares differentials), summing float(constant) * float(component) in
+(k, r) order over the nonzero constants.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from . import exactla
 from .algebra import AlgebraSpec, Element, ScalarLike, _read_json, _reduced, as_scalar, mul
 from .errors import (
     AlgebraMismatch,
-    DegreeTooLarge,
     DimensionMismatch,
     NotRepresentable,
     Singular,
@@ -100,10 +99,7 @@ class CoordMatrix:
     @cached_property
     def _ints(self) -> tuple[list[list[int]], int]:
         """mat as integer rows over one denominator; exact entries only."""
-        flat = [v for row in self.mat for v in row]
-        if any(isinstance(v, float) for v in flat):
-            raise TypeError("a coordinate matrix with float entries has no integer rows")
-        nums, den = exactla.numerators(flat)
+        nums, den = exactla.numerators([v for row in self.mat for v in row])
         n = self.alg.dim
         return [nums[j : j + n] for j in range(0, n * n, n)], den
 
@@ -357,34 +353,22 @@ def polyform_coords(
     return PolyCoords(alg=alg, degree=degree, coords=coords)
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
-
-
 Symmetry = Literal["symmetric", "skew", "neither"]
 
 
 def check_symmetry(p: PolyCoords) -> Symmetry:
-    """Classify by brute force over all index permutations (degree <= 4)."""
-    if p.degree > 4:
-        raise DegreeTooLarge("symmetry check supports degree <= 4")
+    """Classify by the adjacent transpositions of the index slots: they
+    generate all permutations, and each has sign -1."""
     n = p.alg.dim
     symmetric = True
     skew = True
-    for perm in itertools.permutations(range(p.degree)):
-        sign = _perm_sign(perm)
+    for q in range(p.degree - 1):
         for idx in itertools.product(range(n), repeat=p.degree):
-            permuted = tuple(idx[q] for q in perm)
             value = p.coords[idx]
-            other = p.coords[permuted]
+            other = p.coords[idx[:q] + (idx[q + 1], idx[q]) + idx[q + 2 :]]
             if symmetric and value != other:
                 symmetric = False
-            if skew and value != sign * other:
+            if skew and value != -other:
                 skew = False
             if not symmetric and not skew:
                 return "neither"

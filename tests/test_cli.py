@@ -180,6 +180,8 @@ GOLDEN = [
      '{"solution": "x*x + (1-2i+0j-2k)", "orders": 3, "terminated": true}\n'),
     (("ode", "solve", "--rhs", "i*h*j", "--x0", "0", "--y0", "1"),
      "y(x) = (0+1i+0j+0k)*x*(0+0i+1j+0k) + (1+0i+0j+0k)\n"),
+    (("ode", "solve", "--alg", "C", "--rhs", "5*h*x^4", "--x0", "0", "--y0", "0"),
+     "y(x) = x*x*x*x*x\n"),
 ]
 
 
@@ -263,6 +265,9 @@ def test_exp_domain_errors_exit_cleanly(capsys, argv):
     (("poly", "taylor", "--poly", "x^13", "--at", "1"), "DegreeTooLarge"),
     (("poly", "taylor", "--poly", "x^33", "--at", "1"), "ParseError"),
     (("poly", "taylor", "--poly", "(x+i+j)^20", "--at", "1"), "DegreeTooLarge"),
+    # d(x^9)(h): the derivative chain's order-6 step would build 60,480 words.
+    (("ode", "solve", "--rhs", " + ".join("x*" * q + "h" + "*x" * (8 - q) for q in range(9)),
+      "--x0", "0", "--y0", "0"), "DegreeTooLarge"),
 ])
 def test_size_guards_exit_cleanly(capsys, argv, error):
     code, out, err = run(capsys, *argv)

@@ -1,5 +1,6 @@
 """Linear-map representations: conversion, solvability, composition, forms."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from ncdr import closed_forms, exactla
 from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra, mul
 from ncdr.dspace import ComponentMap, DVector, apply_component_map, component_sum_to_std
-from ncdr.errors import DegreeTooLarge, DimensionMismatch, NotRepresentable, Singular
+from ncdr.errors import DimensionMismatch, NotRepresentable, Singular
 from ncdr.linmap import (
     CoordMatrix,
     PolyCoords,
@@ -304,9 +305,30 @@ def test_check_symmetry():
     assert check_symmetry(sym) == "symmetric"
     assert check_symmetry(skew) == "skew"
     assert check_symmetry(prod) == "neither"
-    big = PolyCoords(alg=H, degree=5, coords={})
-    with pytest.raises(DegreeTooLarge):
-        check_symmetry(big)
+    # Degree 5 is classified too: a function of the sorted index tuple is
+    # symmetric, and changing one coordinate leaves it neither.
+    coords = {
+        idx: H.element([sum(idx), max(idx), 1, 0])
+        for idx in itertools.product(range(4), repeat=5)
+    }
+    assert check_symmetry(PolyCoords(alg=H, degree=5, coords=coords)) == "symmetric"
+    coords[(0, 1, 2, 3, 3)] = H.zero
+    assert check_symmetry(PolyCoords(alg=H, degree=5, coords=coords)) == "neither"
+
+
+FLOAT_GRID = tuple(tuple(0.5 + (i == j) for j in range(4)) for i in range(4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, f: compose_std(f, f),
+    lambda m, f: coord_to_std(m),
+    lambda m, f: m @ m,
+    lambda m, f: kernel_rank(m),
+    lambda m, f: change_basis(m, CoordMatrix.identity(H)),
+], ids=["compose_std", "coord_to_std", "matmul", "kernel_rank", "change_basis"])
+def test_exact_entry_points_reject_floats(call):
+    with pytest.raises(TypeError):
+        call(CoordMatrix(H, FLOAT_GRID), StdComponents(H, FLOAT_GRID))
 
 
 def test_json_round_trip():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncdr import maps
+from ncdr import maps, ncpoly
 from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra, mul, norm_float
 from ncdr.errors import DegreeTooLarge, RangeError, UnboundSymbol
 from ncdr.gateaux import gateaux
@@ -125,10 +125,63 @@ def test_extensional_equal_conjugation_form():
         assert word_eval(w, {"h": e}) == e.conj()
 
 
-def test_extensional_guard():
+def test_extensional_guard(monkeypatch):
+    # Five symbols are no longer refused: 4^5 basis bindings decide them.
     w = wp_var("a") * wp_var("b") * wp_var("c") * wp_var("d") * wp_var("e")
+    assert not extensional_equal(w, WordPoly.zero(H))
+    split = WordPoly.constant(ONE) * w + WordPoly.constant(I) * w
+    assert extensional_equal(WordPoly.constant(ONE + I) * w, split)
+    # The guard counts the words evaluated as the bindings run: an equal pair
+    # past it raises, an unequal one returns at its first witness.
+    monkeypatch.setattr(ncpoly, "_MAX_EVAL_WORDS", 100)
     with pytest.raises(DegreeTooLarge):
-        extensional_equal(w, WordPoly.zero(H))
+        extensional_equal(WordPoly.constant(ONE + I) * w, split)
+    assert not extensional_equal(w, WordPoly.zero(H))
+
+
+def test_extensional_equal_is_exact_off_the_basis():
+    # Each difference vanishes at every basis binding but is not zero.
+    assert not extensional_equal(poly("x^3 - x^2 + x - 1").to_words(), WordPoly.zero(H))
+    C = COMPLEX
+    assert not extensional_equal(parse_word_poly(C, "x^4 - 1"), WordPoly.zero(C))
+    # s(x) - 1, s the sum of x's coordinates: coordinate r is Re(e_r^-1 x),
+    # and Re(y) = (y - iyi - jyj - kyk)/4.
+    x = wp_var("x")
+    s = WordPoly.zero(H)
+    for e in (ONE, I, J, K):
+        y = WordPoly.constant(e.inverse()) * x
+        for u in (I, J, K):
+            y = y - WordPoly.constant(u) * WordPoly.constant(e.inverse()) * x * WordPoly.constant(u)
+        s = s + Fraction(1, 4) * y
+    affine = s - WordPoly.constant(ONE)
+    assert len(affine.terms) == 17
+    assert word_eval(affine, {"x": H.zero}) == -ONE
+    assert not extensional_equal(affine, WordPoly.zero(H))
+    ixix = parse_word_poly(H, "i*x*i*x - x*i*x*i")
+    at = H.element([Fraction(1, 3), Fraction(2, 5), Fraction(-1, 7), Fraction(3, 2)])
+    assert word_eval(ixix, {"x": at}) == H.element([0, 0, Fraction(12, 5), Fraction(8, 35)])
+    assert not extensional_equal(ixix, WordPoly.zero(H))
+
+
+def test_split_equality_evaluates_sixteen_bindings(monkeypatch):
+    # The benchmark's split pair: c x d h e + f h x against c split into its
+    # basis parts.  Multilinear, so its lattices are the bases: the 4 x 4
+    # basis bindings, in the order the basis enumeration took them.
+    rng = random.Random(5)
+    c, d, e, f = (random_element(rng) + ONE for _ in range(4))
+    x, h = wp_var("x"), wp_var("h")
+    second = WordPoly.constant(f) * h * x
+    w1 = WordPoly.constant(c) * x * WordPoly.constant(d) * h * WordPoly.constant(e) + second
+    parts = WordPoly.build(H, [
+        (Fraction(1), (Const(H.basis(r) * c.coords[r]), Var("x"), Const(d), Var("h"), Const(e)))
+        for r in range(4) if c.coords[r]
+    ])
+    assert len(parts.terms) > 1
+    calls = []
+    real = ncpoly.word_eval
+    monkeypatch.setattr(ncpoly, "word_eval", lambda w, b: calls.append(b) or real(w, b))
+    assert extensional_equal(w1, parts + second)
+    assert calls == [{"h": H.basis(i), "x": H.basis(j)} for i in range(4) for j in range(4)]
 
 
 def test_vanishing_above_degree():

@@ -6,15 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from ncdr import maps
-from ncdr.algebra import QUATERNIONS, mul, norm_float
-from ncdr.errors import NoSolution, OrderExceeded, ParseError, RangeError
+from ncdr import maps, ncpoly
+from ncdr.algebra import COMPLEX, QUATERNIONS, mul, norm_float
+from ncdr.errors import DegreeTooLarge, NoSolution, OrderExceeded, ParseError, RangeError
 from ncdr.gateaux import MapEvaluator
 from ncdr.ncpoly import (
     WordPoly,
     extensional_equal,
     sym_derivative,
 )
+from ncdr.parsing import parse_word_poly
 from ncdr.taylor import (
     OdeRhs,
     euler_check,
@@ -75,6 +76,44 @@ def test_ode_asymmetric_rhs_rejected():
     x, h = wp("x"), wp("h")
     with pytest.raises(NoSolution):
         solve_ode_taylor(OdeRhs(3 * (h * x * x)), H.zero, H.zero)
+
+
+def test_ode_over_c_with_five_symbols():
+    # Order 5 of 5*h*x^4 has five direction symbols; y = x^5 solves it.
+    C = COMPLEX
+    rhs = OdeRhs(parse_word_poly(C, "5*h*x^4"))
+    sol = solve_ode_taylor(rhs, C.zero, C.zero)
+    assert sol.solution.to_words().terms == (WordPoly.variable(C, "x") ** 5).terms
+
+
+def _count_word_evals(monkeypatch):
+    calls = []
+    real = ncpoly.word_eval
+    monkeypatch.setattr(ncpoly, "word_eval", lambda w, b: calls.append(b) or real(w, b))
+    return calls
+
+
+def test_obstruction_costs_one_order(monkeypatch):
+    # h x^32 is obstructed at order 2; the x lattice of degree 31 varies
+    # slowest, so the first x point meets a witness among the h bindings.
+    rhs = OdeRhs(parse_word_poly(H, "h*x^32"))
+    calls = _count_word_evals(monkeypatch)
+    with pytest.raises(NoSolution):
+        solve_ode_taylor(rhs, H.zero, H.zero)
+    assert 0 < len(calls) <= 16
+
+
+def test_derivative_chain_is_guarded(monkeypatch):
+    # d(x^9)(h): the order-6 step would put h6 into 15,120 words' 4 x-slots.
+    rhs = OdeRhs(parse_word_poly(H, "x^9").derivative("x", "h"))
+    built = []
+    real = WordPoly.derivative
+    monkeypatch.setattr(
+        WordPoly, "derivative", lambda w, name, new: built.append(new) or real(w, name, new)
+    )
+    with pytest.raises(DegreeTooLarge, match="order-6 derivative would build 60480 words"):
+        solve_ode_taylor(rhs, H.zero, H.zero)
+    assert built == ["h2", "h3", "h4", "h5"]
 
 
 def test_ode_order_exceeded():
