@@ -223,13 +223,9 @@ def _cmd_ode_solve(args, cfg) -> int:
     rhs = OdeRhs(parse_word_poly(alg, args.rhs))
     x0 = parse_element(alg, args.x0)
     y0 = parse_element(alg, args.y0)
-    sol = solve_ode_taylor(rhs, x0, y0, max_order=args.max_order)
+    sol = solve_ode_taylor(rhs, x0, y0)
     if args.json:
-        print(json.dumps({
-            "solution": str(sol.solution.to_words("x")),
-            "orders": len(sol.diagonals),
-            "terminated": sol.terminated,
-        }))
+        print(json.dumps({"solution": str(sol.solution.to_words("x"))}))
     else:
         print(f"y(x) = {sol.solution.to_words('x')}")
     return 0
@@ -344,13 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json(derive)
     derive.set_defaults(handler=_cmd_poly_derive)
 
-    ode = sub.add_parser("ode", help="Taylor-series ODE solving")
+    ode = sub.add_parser("ode", help="exact polynomial ODE solving")
     osub = ode.add_subparsers(dest="sub", required=True)
     solve = osub.add_parser("solve", help="solve dy(h) = F(x; h)")
     solve.add_argument("--rhs", required=True, help="expression in x and h")
     solve.add_argument("--x0", required=True)
     solve.add_argument("--y0", required=True)
-    solve.add_argument("--max-order", type=int, default=16)
     _add_alg(solve)
     _add_json(solve)
     solve.set_defaults(handler=_cmd_ode_solve)

@@ -103,10 +103,6 @@ class NoSolution(NcdrError):
     """Differential equation has no solution (symmetry obstruction)."""
 
 
-class OrderExceeded(NcdrError):
-    """Taylor recursion did not terminate within the requested order."""
-
-
 class ParseError(NcdrError, ValueError):
     """Malformed literal, expression, matrix spec or JSON document, or an
     input file that cannot be read."""

@@ -16,10 +16,10 @@ Taylor terms need only the diagonal of those derivatives, where the
 polarization holds each choice of k slots k! times.  taylor_poly therefore
 builds term k directly from the k-subsets of the x-slots: C(n, k) words for a
 degree-n monomial, not n!/(n-k)!.  The subsets are walked as a tree of
-slot fillings, so fillings that share a prefix share its constant products.
-WordPoly.substitute expands the same way; TaylorExpansion.reconstruct and the
-ODE solver substitute h = x - y0 into all their terms at once, so their words
-merge once.
+slot fillings, so fillings that share a prefix share its constant products;
+term 0 is the filling with y0 in every slot.  WordPoly.substitute expands the
+same way; TaylorExpansion.reconstruct substitutes h = x - y0 into all its
+terms at once, so their words merge once.
 
 Formal words mixing constants and variables live in WordPoly.  Their formal
 canonical form (fused constants, folded central scalars, sorted terms) is a
@@ -539,7 +539,5 @@ def taylor_poly(p: NCPoly, y0: Element) -> TaylorExpansion:
         segments = [(Const(c),) for c in m.coefficients]
         for k, terms in enumerate(_fill_slots(alg, Fraction(1), segments, fills)):
             by_order[k] += terms
-    c = eval_poly(p, y0)
-    terms = [NCPoly(alg, (Monomial((c,)),) if c else ())]
-    terms += [ncpoly_from_words(WordPoly.build(alg, raw), "h") for raw in by_order[1:]]
-    return TaylorExpansion(base_point=y0, terms=tuple(terms))
+    terms = tuple(ncpoly_from_words(WordPoly.build(alg, raw), "h") for raw in by_order)
+    return TaylorExpansion(base_point=y0, terms=terms)

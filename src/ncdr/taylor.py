@@ -1,14 +1,12 @@
-"""ODE solving by successive symbolic differentiation, and the exponent.
+"""ODE solving by the homotopy formula, and the exponent.
 
-A first-order equation dy(h) = F(x; h) with x-only right-hand side is solved
-by differentiating F formally, checking that the second derivative is
-symmetric in its two direction symbols (the solvability obstruction), and
-reassembling the Taylor polynomial about the base point.  Order 2 suffices:
-by the Poincare lemma on R^n, F is a derivative dP exactly when dF is
-symmetric, and then every higher derivative of F is one of P, symmetric too.
-The exponent is the everywhere-convergent series sum x^n/n!, by scaling and
-squaring; additivity exp(a+b) = exp(a) exp(b) holds exactly when a and b
-commute, and the gap is measurable otherwise.
+dy(h) = F(x; h), with F linear in h, is solvable exactly when the second
+derivative of F is symmetric in its two directions (the Poincare lemma on
+R^n); then y(x) = y0 + P(x) - P(x0) with P(x) the integral over t in [0, 1]
+of F(tx; x) (Spivak, Calculus on Manifolds, 1965, Thm 4-11), exact word by
+word.  The exponent is the everywhere-convergent series sum x^n/n!, by
+scaling and squaring; additivity exp(a+b) = exp(a) exp(b) holds exactly when
+a and b commute, and the gap is measurable otherwise.
 """
 
 from __future__ import annotations
@@ -21,17 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, Element, mul, norm_float
-from .errors import DegreeTooLarge, NoSolution, OrderExceeded, ParseError, RangeError
+from .errors import NoSolution, ParseError, RangeError
 from .gateaux import DEFAULT_CONFIG, DiffConfig, MapEvaluator, gateaux
 from .ncpoly import (
-    MAX_DERIVATIVE_WORDS,
     Const,
     NCPoly,
     Var,
     WordPoly,
-    diagonal,
     extensional_equal,
     ncpoly_from_words,
+    word_eval,
 )
 
 
@@ -52,67 +49,30 @@ class OdeRhs:
 
 @dataclass(frozen=True)
 class TaylorSolution:
-    """Solution data: diagonals d_k(h) at the base point, k = 1..K."""
+    """The solution y(x) of dy(h) = F(x; h) with y(x0) = y0."""
 
     x0: Element
     y0: Element
-    diagonals: tuple[WordPoly, ...]
-    terminated: bool
     solution: NCPoly
 
 
-def solve_ode_taylor(
-    rhs: OdeRhs, x0: Element, y0: Element, max_order: int = 16
-) -> TaylorSolution:
-    """Integrate dy(h) = F(x; h) by Taylor reassembly about x0.
+def solve_ode_taylor(rhs: OdeRhs, x0: Element, y0: Element) -> TaylorSolution:
+    """Integrate dy(h) = F(x; h) by the homotopy formula, y(x0) = y0.
 
-    Raises NoSolution when the second derivative fails direction-symmetry
-    (the equation is then inconsistent), OrderExceeded when the derivative
-    chain does not vanish by max_order, DegreeTooLarge when a step of it
-    would build more than MAX_DERIVATIVE_WORDS words, and RangeError when
-    max_order < 1.
+    A word of F with n x-slots is t^n times itself with h = x at (tx; x), so
+    it integrates over t in [0, 1] to 1/(n+1) times that word.  NoSolution
+    when dF is not symmetric or the integral's derivative is not F.
     """
-    if max_order < 1:
-        raise RangeError(f"max_order must be at least 1, got {max_order}")
-    alg = x0.alg
-    d = rhs.poly.rename({"h": "h1"})
-    derivatives = [d]
-    terminated = False
-    order = 1
-    while order < max_order:
-        order += 1
-        # A step puts h{order} in each x-slot.  It is held to the limit from
-        # order 3 on, after the obstruction, so that one is raised first.
-        words = sum(w.count(Var("x")) for _, w in d.terms)
-        if order > 2 and words > MAX_DERIVATIVE_WORDS:
-            raise DegreeTooLarge(
-                f"order-{order} derivative would build {words} words (limit {MAX_DERIVATIVE_WORDS})"
-            )
-        d = d.derivative("x", f"h{order}")
-        if order == 2 and not extensional_equal(d, d.rename({"h1": "h2", "h2": "h1"})):
-            raise NoSolution("derivative of order 2 is not symmetric in its directions")
-        derivatives.append(d)
-        if d.is_zero():
-            terminated = True
-            break
-    if not terminated:
-        raise OrderExceeded(f"no termination within {max_order} orders")
-
-    diagonals = []
-    in_h = []
-    for k, dk in enumerate(derivatives, start=1):
-        diag_k = diagonal(dk, k).substitute_element("x", x0)
-        diagonals.append(diag_k)
-        in_h += (Fraction(1, math.factorial(k)) * diag_k).terms
-    # All orders are substituted together, so their words merge in one build.
-    shift = WordPoly.variable(alg, "x") - WordPoly.constant(x0)
-    assembled = WordPoly.build(alg, in_h).substitute("h", shift) + WordPoly.constant(y0)
-    if not extensional_equal(assembled.derivative("x", "h"), rhs.poly):
-        raise NoSolution("assembled polynomial does not satisfy the equation")
-    solution = ncpoly_from_words(assembled, "x")
-    return TaylorSolution(
-        x0=x0, y0=y0, diagonals=tuple(diagonals), terminated=True, solution=solution
-    )
+    poly = rhs.poly
+    d2 = poly.rename({"h": "h1"}).derivative("x", "h2")
+    if not extensional_equal(d2, d2.rename({"h1": "h2", "h2": "h1"})):
+        raise NoSolution("derivative of order 2 is not symmetric in its directions")
+    words = tuple((c / (w.count(Var("x")) + 1), w) for c, w in poly.terms)
+    integral = WordPoly(poly.alg, words).rename({"h": "x"})
+    solution = integral + WordPoly.constant(y0 - word_eval(integral, {"x": x0}))
+    if not extensional_equal(solution.derivative("x", "h"), poly):
+        raise NoSolution("integrated polynomial does not satisfy the equation")
+    return TaylorSolution(x0=x0, y0=y0, solution=ncpoly_from_words(solution, "x"))
 
 
 def exp(x: Element, tol: float = 1e-12) -> Element:
