@@ -1,14 +1,12 @@
 """Command-line front end: exploration subcommands plus batch verification.
 
 Exit codes: 0 success, 1 domain error (error name on stderr), 2 usage error.
-NCDR_TOL overrides the default relative tolerance of the numeric engine.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import re
 import sys
@@ -17,13 +15,7 @@ from fractions import Fraction
 from . import maps
 from .algebra import CANONICAL, AlgebraSpec, _read_json, format_element, mul
 from .errors import NcdrError, ParseError
-from .gateaux import (
-    DEFAULT_CONFIG,
-    DiffConfig,
-    MapEvaluator,
-    differential_std_components,
-    jacobian,
-)
+from .gateaux import MapEvaluator, differential_std_components, jacobian
 from .linmap import CoordMatrix, StdComponents, big_c, compose_std, coord_to_std, std_to_coord
 from .ncpoly import eval_poly, sym_derivative, taylor_poly
 from .parsing import parse_element, parse_ncpoly, parse_rational, parse_word_poly
@@ -93,7 +85,7 @@ def _evaluator(alg: AlgebraSpec, name: str) -> MapEvaluator:
         raise ParseError(f"unknown map {name!r} (builtins: {known}; or poly:EXPR)") from None
 
 
-def _cmd_algebra_show(args, cfg) -> int:
+def _cmd_algebra_show(args) -> int:
     alg = _algebra(args.alg)
     if args.json:
         print(alg.to_json())
@@ -107,7 +99,7 @@ def _cmd_algebra_show(args, cfg) -> int:
     return 0
 
 
-def _cmd_algebra_check(args, cfg) -> int:
+def _cmd_algebra_check(args) -> int:
     if args.file:
         alg = AlgebraSpec.from_json(_read_text(args.file))
     else:
@@ -117,7 +109,7 @@ def _cmd_algebra_check(args, cfg) -> int:
     return 0
 
 
-def _cmd_map_convert(args, cfg) -> int:
+def _cmd_map_convert(args) -> int:
     alg = _algebra(args.alg)
     grid = _grid_from_spec(alg, args.matrix)
     if args.dir == "std2coord":
@@ -131,7 +123,7 @@ def _cmd_map_convert(args, cfg) -> int:
     return 0
 
 
-def _cmd_map_compose(args, cfg) -> int:
+def _cmd_map_compose(args) -> int:
     alg = _algebra(args.alg)
     g = StdComponents.from_rows(alg, _grid_from_spec(alg, args.g))
     f = StdComponents.from_rows(alg, _grid_from_spec(alg, args.f))
@@ -139,7 +131,7 @@ def _cmd_map_compose(args, cfg) -> int:
     return 0
 
 
-def _cmd_map_bigc(args, cfg) -> int:
+def _cmd_map_bigc(args) -> int:
     alg = _algebra(args.alg)
     bc = big_c(alg)
     if args.json:
@@ -155,9 +147,9 @@ def _cmd_map_bigc(args, cfg) -> int:
     return 0
 
 
-def _cmd_diff_table(args, cfg) -> int:
+def _cmd_diff_table(args) -> int:
     rng = random.Random(args.seed)
-    worst = derivative_table_residuals(rng, cfg, points=args.points)
+    worst = derivative_table_residuals(rng, points=args.points)
     if args.json:
         print(json.dumps({k: v for k, v in sorted(worst.items())}))
         return 0
@@ -166,11 +158,11 @@ def _cmd_diff_table(args, cfg) -> int:
     return 0
 
 
-def _cmd_diff_jacobian(args, cfg) -> int:
+def _cmd_diff_jacobian(args) -> int:
     alg = _algebra(args.alg)
     f = _evaluator(alg, args.map)
     point = parse_element(alg, args.at)
-    jac = jacobian(f, point, cfg)
+    jac = jacobian(f, point)
     if args.json:
         print(json.dumps([[float(v) for v in row] for row in jac]))
     else:
@@ -179,18 +171,18 @@ def _cmd_diff_jacobian(args, cfg) -> int:
     return 0
 
 
-def _cmd_diff_std_components(args, cfg) -> int:
+def _cmd_diff_std_components(args) -> int:
     alg = _algebra(args.alg)
     f = _evaluator(alg, args.map)
     point = parse_element(alg, args.at)
-    sol = differential_std_components(f, point, cfg)
+    sol = differential_std_components(f, point)
     _print_grid(sol.components.comps, args.json)
     if not args.json and not sol.unique:
         print("note: representation not unique (minimum-norm solution shown)")
     return 0
 
 
-def _cmd_poly_taylor(args, cfg) -> int:
+def _cmd_poly_taylor(args) -> int:
     alg = _algebra(args.alg)
     poly = parse_ncpoly(alg, args.poly)
     at = parse_element(alg, args.at)
@@ -207,7 +199,7 @@ def _cmd_poly_taylor(args, cfg) -> int:
     return 0
 
 
-def _cmd_poly_derive(args, cfg) -> int:
+def _cmd_poly_derive(args) -> int:
     alg = _algebra(args.alg)
     poly = parse_ncpoly(alg, args.poly)
     d = sym_derivative(poly, args.order)
@@ -218,7 +210,7 @@ def _cmd_poly_derive(args, cfg) -> int:
     return 0
 
 
-def _cmd_ode_solve(args, cfg) -> int:
+def _cmd_ode_solve(args) -> int:
     alg = _algebra(args.alg)
     rhs = OdeRhs(parse_word_poly(alg, args.rhs))
     x0 = parse_element(alg, args.x0)
@@ -231,7 +223,7 @@ def _cmd_ode_solve(args, cfg) -> int:
     return 0
 
 
-def _cmd_exp(args, cfg) -> int:
+def _cmd_exp(args) -> int:
     alg = _algebra(args.alg)
     if args.mode == "gap":
         if args.a is None or args.b is None:
@@ -252,8 +244,8 @@ def _cmd_exp(args, cfg) -> int:
     return 0
 
 
-def _cmd_verify_all(args, cfg) -> int:
-    report = run_verify_all(seed=args.seed, cfg=cfg)
+def _cmd_verify_all(args) -> int:
+    report = run_verify_all(seed=args.seed)
     print(report.to_json() if args.json else report.format_text())
     return 0 if report.all_passed else 1
 
@@ -370,20 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config() -> DiffConfig:
-    tol = os.environ.get("NCDR_TOL")
-    if tol is None:
-        return DEFAULT_CONFIG
-    try:
-        return DiffConfig(rel_tol=float(tol))
-    except ValueError:
-        raise ParseError(f"NCDR_TOL must be a finite positive number, got {tol!r}") from None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, _config())
+        return args.handler(args)
     except NcdrError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

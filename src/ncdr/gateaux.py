@@ -7,11 +7,10 @@ norms and reconstructed standard components all reduce to repeated calls of
 the same engine along basis directions.
 
 There is one engine with one fixed step schedule: LEVELS central differences
-at steps BASE_STEP / RATIO^k, extrapolated in t^2.  Only the relative
-tolerance of the convergence test is configurable, through DiffConfig.  The
-zero direction takes the general path: its samples f(x) - f(x) are 0, so it
-returns 0 with error 0.0 where f is defined and finite at x, and raises what
-f raises where it is not.
+at steps BASE_STEP / RATIO^k, extrapolated in t^2, and one fixed relative
+tolerance REL_TOL for its convergence test.  The zero direction takes the
+general path: its samples f(x) - f(x) are 0, so it returns 0 with error 0.0
+where f is defined and finite at x, and raises what f raises where it is not.
 
 The samples and the Neville table are plain lists of Python floats, one
 float operation per coordinate.  numpy serves only where whole matrices
@@ -36,7 +35,6 @@ from .errors import (
     NcdrError,
     NonConvergent,
     NotRepresentable,
-    RangeError,
     ZeroDirection,
 )
 from .linmap import CoordMatrix, StdComponents, StdSolution, big_c, coord_to_std
@@ -49,7 +47,9 @@ Point = Union[Element, Sequence[Element]]
 BASE_STEP = 2.0**-6
 RATIO = 2.0
 LEVELS = 4
-#: Floor of the relative tolerance of second_gateaux's outer extrapolation.
+#: Relative tolerance of the convergence test of every first derivative.
+REL_TOL = 1e-8
+#: Relative tolerance of second_gateaux's outer extrapolation.
 SECOND_ORDER_TOL = 1e-6
 # differential_std_components snaps Jacobian entries within SNAP_TOL of a
 # fraction of denominator <= SNAP_DENOMINATOR; otherwise a least-squares
@@ -62,20 +62,6 @@ NORM_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
-class DiffConfig:
-    """Relative tolerance of the engine's convergence test."""
-
-    rel_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise RangeError(f"relative tolerance must be finite and positive: {self.rel_tol!r}")
-
-
-DEFAULT_CONFIG = DiffConfig()
-
-
-@dataclass(frozen=True)
 class MapEvaluator:
     """A deterministic black-box map from domain[1] arguments in domain[0]
     to one element of codomain; fn takes the arguments positionally."""
@@ -85,20 +71,12 @@ class MapEvaluator:
     fn: Callable[..., Element]
 
     @classmethod
-    def unary(
-        cls, alg: AlgebraSpec, f: Callable[[Element], Element], out_alg: AlgebraSpec | None = None
-    ) -> "MapEvaluator":
-        return cls.nary(alg, 1, f, out_alg)
+    def unary(cls, alg: AlgebraSpec, f: Callable[[Element], Element]) -> "MapEvaluator":
+        return cls.nary(alg, 1, f)
 
     @classmethod
-    def nary(
-        cls,
-        alg: AlgebraSpec,
-        arity: int,
-        f: Callable[..., Element],
-        out_alg: AlgebraSpec | None = None,
-    ) -> "MapEvaluator":
-        return cls((alg, arity), out_alg or alg, f)
+    def nary(cls, alg: AlgebraSpec, arity: int, f: Callable[..., Element]) -> "MapEvaluator":
+        return cls((alg, arity), alg, f)
 
     def __call__(self, args: tuple[Element, ...]) -> Element:
         return self.fn(*args)
@@ -142,7 +120,7 @@ def _richardson(
 
 
 def _directional(
-    f: MapEvaluator, x: tuple[Element, ...], a: tuple[Element, ...], cfg: DiffConfig
+    f: MapEvaluator, x: tuple[Element, ...], a: tuple[Element, ...]
 ) -> tuple[list[float], float]:
     # x and a hold float coordinates, so x + t a is built coordinate-wise;
     # (-t) v == -(t v) exactly, so x - t a is shifted(-t).
@@ -161,7 +139,7 @@ def _directional(
 
     try:
         return _richardson(
-            sample, cfg.rel_tol, "extrapolants disagree by {error:.3e} (scale {scale:.3e})"
+            sample, REL_TOL, "extrapolants disagree by {error:.3e} (scale {scale:.3e})"
         )
     except NonConvergent as exc:
         # A pole at x itself (an inverse at 0) only shows as disagreement.
@@ -172,17 +150,15 @@ def _directional(
         raise
 
 
-def gateaux_with_error(
-    f: MapEvaluator, x: Point, a: Point, cfg: DiffConfig = DEFAULT_CONFIG
-) -> tuple[Element, float]:
+def gateaux_with_error(f: MapEvaluator, x: Point, a: Point) -> tuple[Element, float]:
     """Directional derivative and its extrapolation error estimate."""
-    value, err = _directional(f, _float_point(f, x), _float_point(f, a), cfg)
+    value, err = _directional(f, _float_point(f, x), _float_point(f, a))
     return _float_element(f.codomain, tuple(value)), err
 
 
-def gateaux(f: MapEvaluator, x: Point, a: Point, cfg: DiffConfig = DEFAULT_CONFIG) -> Element:
+def gateaux(f: MapEvaluator, x: Point, a: Point) -> Element:
     """Directional derivative of f at x along a (zero where a = 0 and f is defined)."""
-    return gateaux_with_error(f, x, a, cfg)[0]
+    return gateaux_with_error(f, x, a)[0]
 
 
 def _require_scalar_map(f: MapEvaluator) -> None:
@@ -190,69 +166,61 @@ def _require_scalar_map(f: MapEvaluator) -> None:
         raise DimensionMismatch("directional-ratio derivatives need a map D -> D")
 
 
-def dstar(f: MapEvaluator, x: Element, a: Element, cfg: DiffConfig = DEFAULT_CONFIG) -> Element:
+def dstar(f: MapEvaluator, x: Element, a: Element) -> Element:
     """Left-extracted derivative a^{-1} * df(x)(a); constant on real rays."""
     _require_scalar_map(f)
     a = a.to_float()
     if not norm_sq(a):
         raise ZeroDirection("derivative undefined along a direction of zero norm")
-    return mul(inverse(a), gateaux(f, x, a, cfg))
+    return mul(inverse(a), gateaux(f, x, a))
 
 
-def star_d(f: MapEvaluator, x: Element, a: Element, cfg: DiffConfig = DEFAULT_CONFIG) -> Element:
+def star_d(f: MapEvaluator, x: Element, a: Element) -> Element:
     """Right-extracted derivative df(x)(a) * a^{-1}."""
     _require_scalar_map(f)
     a = a.to_float()
     if not norm_sq(a):
         raise ZeroDirection("derivative undefined along a direction of zero norm")
-    return mul(gateaux(f, x, a, cfg), inverse(a))
+    return mul(gateaux(f, x, a), inverse(a))
 
 
-def partial_gateaux(
-    f: MapEvaluator, x: Sequence[Element], i: int, h: Element, cfg: DiffConfig = DEFAULT_CONFIG
-) -> Element:
+def partial_gateaux(f: MapEvaluator, x: Sequence[Element], i: int, h: Element) -> Element:
     """Directional derivative perturbing only argument slot i."""
     arity = f.domain[1]
     if not 0 <= i < arity:
         raise IndexOutOfRange(f"slot {i} outside arity {arity}")
     direction = tuple(h if k == i else f.domain[0].zero for k in range(arity))
-    return gateaux(f, tuple(x), direction, cfg)
+    return gateaux(f, tuple(x), direction)
 
 
-def second_gateaux(
-    f: MapEvaluator, x: Element, a1: Element, a2: Element, cfg: DiffConfig = DEFAULT_CONFIG
-) -> Element:
+def second_gateaux(f: MapEvaluator, x: Element, a1: Element, a2: Element) -> Element:
     """Iterated derivative d(df(x)(a1))(a2) by nested central differences.
 
-    The outer extrapolation is held to at least SECOND_ORDER_TOL.
+    The outer extrapolation is held to SECOND_ORDER_TOL.
     """
     x, a1, a2 = x.to_float(), a1.to_float(), a2.to_float()
 
     def g(y: Element) -> list[float]:
-        value, _ = _directional(f, (y,), (a1,), cfg)
+        value, _ = _directional(f, (y,), (a1,))
         return value
 
     def sample(t: float) -> list[float]:
         return [(p - m) / (2.0 * t) for p, m in zip(g(x + t * a2), g(x - t * a2))]
 
     value, _ = _richardson(
-        sample,
-        max(cfg.rel_tol, SECOND_ORDER_TOL),
-        "second-order extrapolants disagree by {error:.3e}",
+        sample, SECOND_ORDER_TOL, "second-order extrapolants disagree by {error:.3e}"
     )
     return _float_element(f.codomain, tuple(value))
 
 
-def mixed_partial_residual(
-    f: MapEvaluator, x: Element, a1: Element, a2: Element, cfg: DiffConfig = DEFAULT_CONFIG
-) -> float:
+def mixed_partial_residual(f: MapEvaluator, x: Element, a1: Element, a2: Element) -> float:
     """Swap-symmetry defect of the iterated second derivative."""
-    d12 = second_gateaux(f, x, a1, a2, cfg)
-    d21 = second_gateaux(f, x, a2, a1, cfg)
+    d12 = second_gateaux(f, x, a1, a2)
+    d21 = second_gateaux(f, x, a2, a1)
     return norm_float(d12 - d21)
 
 
-def jacobian(f: MapEvaluator, x: Point, cfg: DiffConfig = DEFAULT_CONFIG) -> np.ndarray:
+def jacobian(f: MapEvaluator, x: Point) -> np.ndarray:
     """Real Jacobian: entry (j, i) is the derivative of output coordinate j
     with respect to input coordinate i, by central differences."""
     xt = _float_point(f, x)
@@ -265,14 +233,12 @@ def jacobian(f: MapEvaluator, x: Point, cfg: DiffConfig = DEFAULT_CONFIG) -> np.
     for slot in range(arity_in):
         for unit in units:
             direction = tuple(unit if k == slot else zero for k in range(arity_in))
-            col, _ = _directional(f, xt, direction, cfg)
+            col, _ = _directional(f, xt, direction)
             cols.append(col)
     return np.array(list(zip(*cols)))
 
 
-def differential_std_components(
-    f: MapEvaluator, x: Element, cfg: DiffConfig = DEFAULT_CONFIG
-) -> StdSolution:
+def differential_std_components(f: MapEvaluator, x: Element) -> StdSolution:
     """Standard components of the differential at x, via the Jacobian.
 
     Entries near small rationals (denominator <= SNAP_DENOMINATOR, within
@@ -282,7 +248,7 @@ def differential_std_components(
     _require_scalar_map(f)
     alg = f.domain[0]
     n = alg.dim
-    jac = jacobian(f, x, cfg)
+    jac = jacobian(f, x)
     snapped = [[Fraction(float(jac[j, i])).limit_denominator(SNAP_DENOMINATOR)
                 for i in range(n)] for j in range(n)]
     if all(
@@ -305,35 +271,31 @@ def differential_std_components(
     return StdSolution(StdComponents(alg, comps), unique=B.rank == n * n)
 
 
-def verify_product_rule(
-    f: MapEvaluator, g: MapEvaluator, x: Element, a: Element, cfg: DiffConfig = DEFAULT_CONFIG
-) -> float:
+def verify_product_rule(f: MapEvaluator, g: MapEvaluator, x: Element, a: Element) -> float:
     """Residual of d(fg)(x)(a) = df(x)(a) g(x) + f(x) dg(x)(a)."""
     x, a = x.to_float(), a.to_float()
     product = MapEvaluator.unary(f.domain[0], lambda y: mul(f((y,)), g((y,))))
-    lhs = gateaux(product, x, a, cfg)
-    rhs = mul(gateaux(f, x, a, cfg), g((x,))) + mul(f((x,)), gateaux(g, x, a, cfg))
+    lhs = gateaux(product, x, a)
+    rhs = mul(gateaux(f, x, a), g((x,))) + mul(f((x,)), gateaux(g, x, a))
     return norm_float(lhs - rhs)
 
 
-def verify_chain_rule(
-    g: MapEvaluator, f: MapEvaluator, x: Element, a: Element, cfg: DiffConfig = DEFAULT_CONFIG
-) -> float:
+def verify_chain_rule(g: MapEvaluator, f: MapEvaluator, x: Element, a: Element) -> float:
     """Residual of d(g o f)(x)(a) = dg(f(x))(df(x)(a))."""
     x, a = x.to_float(), a.to_float()
     composed = MapEvaluator.unary(f.domain[0], lambda y: g((f((y,)),)))
-    lhs = gateaux(composed, x, a, cfg)
-    rhs = gateaux(g, f((x,)), gateaux(f, x, a, cfg), cfg)
+    lhs = gateaux(composed, x, a)
+    rhs = gateaux(g, f((x,)), gateaux(f, x, a))
     return norm_float(lhs - rhs)
 
 
-def differential_norm(f: MapEvaluator, x: Element, cfg: DiffConfig = DEFAULT_CONFIG) -> float:
+def differential_norm(f: MapEvaluator, x: Element) -> float:
     """Operator norm of the differential: the Jacobian's top singular value.
 
     Cross-checked against a sampled supremum over random unit directions;
     the Euclidean coordinate norm makes the singular value exact.
     """
-    jac = jacobian(f, x, cfg)
+    jac = jacobian(f, x)
     sigma = float(np.linalg.svd(jac, compute_uv=False)[0])
     rng = np.random.default_rng(12345)
     dirs = rng.normal(size=(NORM_SAMPLES, jac.shape[1]))

@@ -469,7 +469,7 @@ def eval_poly(p: NCPoly, x: Element) -> Element:
     return acc
 
 
-def sym_derivative(p: NCPoly, order: int, var: str = "x") -> WordPoly:
+def sym_derivative(p: NCPoly, order: int) -> WordPoly:
     """Order-m derivative as a word polynomial in h1..hm.
 
     Each step replaces one remaining x-slot by the next fresh symbol in every
@@ -486,17 +486,17 @@ def sym_derivative(p: NCPoly, order: int, var: str = "x") -> WordPoly:
             f"order-{order} derivative would build {words} words "
             f"(limit {MAX_DERIVATIVE_WORDS})"
         )
-    w = p.to_words(var)
+    w = p.to_words("x")
     for q in range(1, order + 1):
         if w.is_zero():
             break
-        w = w.derivative(var, f"h{q}")
+        w = w.derivative("x", f"h{q}")
     return w
 
 
-def diagonal(w: WordPoly, order: int, symbol: str = "h") -> WordPoly:
-    """Bind h1..h_order to one symbol."""
-    return w.rename({f"h{q}": symbol for q in range(1, order + 1)})
+def diagonal(w: WordPoly, order: int) -> WordPoly:
+    """Bind h1..h_order to the one symbol h."""
+    return w.rename({f"h{q}": "h" for q in range(1, order + 1)})
 
 
 @dataclass(frozen=True)

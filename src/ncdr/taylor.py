@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraSpec, Element, mul, norm_float
 from .errors import NoSolution, ParseError, RangeError
-from .gateaux import DEFAULT_CONFIG, DiffConfig, MapEvaluator, gateaux
+from .gateaux import MapEvaluator, gateaux
 from .ncpoly import (
     Const,
     NCPoly,
@@ -60,13 +60,11 @@ def solve_ode_taylor(rhs: OdeRhs, x0: Element, y0: Element) -> TaylorSolution:
     """Integrate dy(h) = F(x; h) by the homotopy formula, y(x0) = y0.
 
     A word of F with n x-slots is t^n times itself with h = x at (tx; x), so
-    it integrates over t in [0, 1] to 1/(n+1) times that word.  NoSolution
-    when dF is not symmetric or the integral's derivative is not F.
+    it integrates over t in [0, 1] to 1/(n+1) times that word.  The
+    integral's derivative is F exactly when dF is symmetric, so one exact
+    check decides: NoSolution when it is not F.
     """
     poly = rhs.poly
-    d2 = poly.rename({"h": "h1"}).derivative("x", "h2")
-    if not extensional_equal(d2, d2.rename({"h1": "h2", "h2": "h1"})):
-        raise NoSolution("derivative of order 2 is not symmetric in its directions")
     words = tuple((c / (w.count(Var("x")) + 1), w) for c, w in poly.terms)
     integral = WordPoly(poly.alg, words).rename({"h": "x"})
     solution = integral + WordPoly.constant(y0 - word_eval(integral, {"x": x0}))
@@ -183,20 +181,14 @@ def exp_flow_defect(alg: AlgebraSpec, k: int) -> WordPoly:
     return series_part - ode_part
 
 
-def euler_check(
-    f: MapEvaluator,
-    k: int,
-    samples: int = 20,
-    seed: int = 0,
-    cfg: DiffConfig = DEFAULT_CONFIG,
-) -> float:
-    """Max relative residual of df(v)(v) = k f(v) over random sample points."""
+def euler_check(f: MapEvaluator, k: int, seed: int = 0) -> float:
+    """Max relative residual of df(v)(v) = k f(v) over 20 random points."""
     rng = random.Random(seed)
     alg = f.domain[0]
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(20):
         v = alg.element([rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) for _ in range(alg.dim)])
         fv = f((v,))
-        residual = norm_float(gateaux(f, v, v, cfg) - k * fv)
+        residual = norm_float(gateaux(f, v, v) - k * fv)
         worst = max(worst, residual / max(norm_float(fv), 1e-9))
     return worst

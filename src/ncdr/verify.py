@@ -34,8 +34,6 @@ from .algebra import (
 from .dspace import DMatrix, dual_basis
 from .errors import AxiomViolated, NoSolution, NotRepresentable, RangeError, Singular
 from .gateaux import (
-    DEFAULT_CONFIG,
-    DiffConfig,
     MapEvaluator,
     differential_std_components,
     gateaux,
@@ -161,7 +159,7 @@ H_TABLE = {
 }
 
 
-def std_components_to_word(f: StdComponents, symbol: str = "h") -> WordPoly:
+def std_components_to_word(f: StdComponents) -> WordPoly:
     """The map h -> sum f^{ij} e_i h e_j as a formal word polynomial."""
     alg = f.alg
     raw = []
@@ -169,11 +167,11 @@ def std_components_to_word(f: StdComponents, symbol: str = "h") -> WordPoly:
         for j in range(alg.dim):
             c = f.comps[i][j]
             if c:
-                raw.append((Fraction(c), (Const(alg.basis(i)), Var(symbol), Const(alg.basis(j)))))
+                raw.append((Fraction(c), (Const(alg.basis(i)), Var("h"), Const(alg.basis(j)))))
     return WordPoly.build(alg, raw)
 
 
-def check_algebra_axioms(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_algebra_axioms(rng: random.Random) -> tuple[bool, str]:
     C = H.structure
     for k in range(4):
         for l in range(4):
@@ -197,7 +195,7 @@ def check_algebra_axioms(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str
     return True, "64 triples + 1000 norm pairs, exact"
 
 
-def check_conversion(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_conversion(rng: random.Random) -> tuple[bool, str]:
     from . import exactla
 
     S = [list(r) for r in closed_forms.H_SIGNS]
@@ -219,7 +217,7 @@ def check_conversion(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
     return True, "100 round trips + closed forms, exact"
 
 
-def check_nonrepresentable(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_nonrepresentable(rng: random.Random) -> tuple[bool, str]:
     try:
         coord_to_std(CoordMatrix.from_rows(COMPLEX, [[1, 0], [0, -1]]))
         return False, "complex conjugation was not rejected"
@@ -232,7 +230,7 @@ def check_nonrepresentable(rng: random.Random, cfg: DiffConfig) -> tuple[bool, s
     return True, "conjugation rejected; ranks 2 and 16"
 
 
-def check_composition(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_composition(rng: random.Random) -> tuple[bool, str]:
     for _ in range(100):
         f, g = _random_std(rng), _random_std(rng)
         if std_to_coord(compose_std(g, f)) != std_to_coord(g) @ std_to_coord(f):
@@ -261,33 +259,33 @@ def derivative_table_cases(rng: random.Random):
     ]
 
 
-def derivative_table_residuals(rng: random.Random, cfg: DiffConfig, points: int = 100):
+def derivative_table_residuals(rng: random.Random, points: int = 100):
     if points < 1:
         raise RangeError(f"need at least one point, got {points}")
     worst: dict[str, float] = {}
     for _ in range(points):
         x, h, rows = derivative_table_cases(rng)
         for name, evaluator, closed in rows:
-            got = gateaux(evaluator, x, h, cfg)
+            got = gateaux(evaluator, x, h)
             scale = max(1.0, norm_float(closed))
             residual = norm_float(got - closed.to_float()) / scale
             worst[name] = max(worst.get(name, 0.0), residual)
     return worst
 
 
-def check_derivative_table(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
-    worst = derivative_table_residuals(rng, cfg, points=100)
+def check_derivative_table(rng: random.Random) -> tuple[bool, str]:
+    worst = derivative_table_residuals(rng, points=100)
     top = max(worst.values())
     return top <= 1e-8, f"max relative residual {top:.2e} over {len(worst)} identities"
 
 
-def check_conjugation_differential(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_conjugation_differential(rng: random.Random) -> tuple[bool, str]:
     point = random_rational_element(rng)
-    jac = jacobian(maps.conjugate(H), point, cfg)
+    jac = jacobian(maps.conjugate(H), point)
     gap = float(np.max(np.abs(jac - np.diag([1.0, -1.0, -1.0, -1.0]))))
     if gap > 1e-10:
         return False, f"Jacobian off by {gap:.2e}"
-    sol = differential_std_components(maps.conjugate(H), point, cfg)
+    sol = differential_std_components(maps.conjugate(H), point)
     half = Fraction(-1, 2)
     expected = StdComponents.from_rows(
         H, [[half, 0, 0, 0], [0, half, 0, 0], [0, 0, half, 0], [0, 0, 0, half]]
@@ -305,7 +303,7 @@ def check_conjugation_differential(rng: random.Random, cfg: DiffConfig) -> tuple
     return True, f"Jacobian gap {gap:.1e}; components exact; symbolic match"
 
 
-def check_norm_derivative(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_norm_derivative(rng: random.Random) -> tuple[bool, str]:
     f = maps.norm_square(H)
     worst = 0.0
     for _ in range(100):
@@ -313,7 +311,7 @@ def check_norm_derivative(rng: random.Random, cfg: DiffConfig) -> tuple[bool, st
         closed = mul(conj(h), x) + mul(conj(x), h)
         if closed != mul(h, conj(x)) + mul(x, conj(h)):
             return False, "conjugate pairings disagree"
-        got = gateaux(f, x, h, cfg)
+        got = gateaux(f, x, h)
         worst = max(
             worst,
             norm_float(got - closed.to_float()) / max(1.0, norm_float(closed)),
@@ -321,7 +319,7 @@ def check_norm_derivative(rng: random.Random, cfg: DiffConfig) -> tuple[bool, st
     return worst <= 1e-8, f"max relative residual {worst:.2e}"
 
 
-def check_embedding(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_embedding(rng: random.Random) -> tuple[bool, str]:
     for _ in range(100):
         a, b = random_rational_element(rng), random_rational_element(rng)
         if embed_matrix(a) @ embed_matrix(b) != embed_matrix(mul(a, b)):
@@ -340,7 +338,7 @@ def _random_monomial(rng: random.Random, degree: int) -> NCPoly:
     return NCPoly(H, (Monomial(tuple(coeffs)),))
 
 
-def check_polynomial_calculus(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_polynomial_calculus(rng: random.Random) -> tuple[bool, str]:
     for _ in range(50):
         degree = rng.randint(1, 5)
         p = _random_monomial(rng, degree)
@@ -366,7 +364,7 @@ def check_polynomial_calculus(rng: random.Random, cfg: DiffConfig) -> tuple[bool
     return True, "50 monomials of degree <= 5, exact"
 
 
-def check_chain_product_mixed(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_chain_product_mixed(rng: random.Random) -> tuple[bool, str]:
     worst_rule = 0.0
     for _ in range(50):
         x = _numeric_point(rng)
@@ -376,21 +374,21 @@ def check_chain_product_mixed(rng: random.Random, cfg: DiffConfig) -> tuple[bool
         family = [maps.square(H), maps.invert(H), maps.two_sided(b, c), maps.cube(H)]
         f = rng.choice(family)
         g = rng.choice(family)
-        worst_rule = max(worst_rule, verify_product_rule(f, g, x, a, cfg))
-        worst_rule = max(worst_rule, verify_chain_rule(g, f, x, a, cfg))
+        worst_rule = max(worst_rule, verify_product_rule(f, g, x, a))
+        worst_rule = max(worst_rule, verify_chain_rule(g, f, x, a))
     if worst_rule > 1e-7:
         return False, f"rule residual {worst_rule:.2e}"
     worst_mixed = 0.0
     for _ in range(5):
         x = _numeric_point(rng)
         a1, a2 = _numeric_direction(rng), _numeric_direction(rng)
-        worst_mixed = max(worst_mixed, mixed_partial_residual(maps.cube(H), x, a1, a2, cfg))
+        worst_mixed = max(worst_mixed, mixed_partial_residual(maps.cube(H), x, a1, a2))
     if worst_mixed > 1e-6:
         return False, f"mixed-partial residual {worst_mixed:.2e}"
     return True, f"rules {worst_rule:.1e}; mixed partials {worst_mixed:.1e}"
 
 
-def check_ode_suite(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_ode_suite(rng: random.Random) -> tuple[bool, str]:
     x = WordPoly.variable(H, "x")
     h = WordPoly.variable(H, "h")
     sol = solve_ode_taylor(OdeRhs(h * x * x + x * h * x + x * x * h), H.zero, H.zero)
@@ -416,7 +414,7 @@ def check_ode_suite(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
     return True, "cubic, component-sum and obstruction cases agree"
 
 
-def check_exponent(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_exponent(rng: random.Random) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(20):
         theta = rng.uniform(-3.0, 3.0)
@@ -451,14 +449,14 @@ def check_exponent(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
     return True, f"angle residual {worst:.1e}; gap(i,j) = {gap_ij:.3f}; 2^n counts"
 
 
-def check_euler(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
-    r2 = euler_check(maps.square(H), 2, samples=20, seed=rng.randint(0, 10**6), cfg=cfg)
-    r3 = euler_check(maps.cube(H), 3, samples=20, seed=rng.randint(0, 10**6), cfg=cfg)
+def check_euler(rng: random.Random) -> tuple[bool, str]:
+    r2 = euler_check(maps.square(H), 2, seed=rng.randint(0, 10**6))
+    r3 = euler_check(maps.cube(H), 3, seed=rng.randint(0, 10**6))
     top = max(r2, r3)
     return top <= 1e-7, f"max relative residual {top:.2e}"
 
 
-def check_dual_basis_twin(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_dual_basis_twin(rng: random.Random) -> tuple[bool, str]:
     count = 0
     while count < 50:
         A = DMatrix(
@@ -481,7 +479,7 @@ def check_dual_basis_twin(rng: random.Random, cfg: DiffConfig) -> tuple[bool, st
     return True, "50 inversions + 100 associativity triples, exact"
 
 
-def check_negative_control(rng: random.Random, cfg: DiffConfig) -> tuple[bool, str]:
+def check_negative_control(rng: random.Random) -> tuple[bool, str]:
     grid = [[list(v) for v in row] for row in H.structure]
     grid[1][2][3] = Fraction(2)  # corrupt i*j
     try:
@@ -496,7 +494,7 @@ def check_negative_control(rng: random.Random, cfg: DiffConfig) -> tuple[bool, s
         return True, "corrupted table rejected at construction"
 
 
-CHECKS: list[tuple[str, Callable[[random.Random, DiffConfig], tuple[bool, str]]]] = [
+CHECKS: list[tuple[str, Callable[[random.Random], tuple[bool, str]]]] = [
     ("01-algebra-axioms", check_algebra_axioms),
     ("02-conversion-round-trip", check_conversion),
     ("03-nonrepresentable-rank", check_nonrepresentable),
@@ -515,20 +513,18 @@ CHECKS: list[tuple[str, Callable[[random.Random, DiffConfig], tuple[bool, str]]]
 ]
 
 
-def run_check(
-    name: str, seed: int = 42, cfg: DiffConfig = DEFAULT_CONFIG
-) -> CheckResult:
+def run_check(name: str, seed: int = 42) -> CheckResult:
     fn = dict(CHECKS)[name]
     rng = random.Random(f"{seed}/{name}")
     start = time.perf_counter()
     try:
-        passed, detail = fn(rng, cfg)
+        passed, detail = fn(rng)
     except Exception as exc:  # a crashed check is a failed check
         passed, detail = False, f"{type(exc).__name__}: {exc}"
     elapsed = (time.perf_counter() - start) * 1000.0
     return CheckResult(name=name, passed=passed, detail=detail, elapsed_ms=elapsed)
 
 
-def run_verify_all(seed: int = 42, cfg: DiffConfig = DEFAULT_CONFIG) -> Report:
-    results = [run_check(name, seed, cfg) for name, _ in sorted(CHECKS)]
+def run_verify_all(seed: int = 42) -> Report:
+    results = [run_check(name, seed) for name, _ in sorted(CHECKS)]
     return Report(seed=seed, results=tuple(results))

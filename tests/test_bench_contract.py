@@ -4,8 +4,8 @@ The workloads import ncdr names at module level and the tracer rebinds
 functions and methods by name when it installs, so importing every workload
 and installing the tracer once touches each name the benchmark depends on.
 Each workload's deck is then dealt once with a fixed seed, so every op's own
-oracle checks what it calls of ncdr.  verify-all is left out: its schedule
-deals seeds, one `verify all` run per op.
+oracle checks what it calls of ncdr.  verify-all deals seeds, one `verify
+all` run per op, so only its untimed probe of check 10 is called here.
 """
 
 import importlib
@@ -49,3 +49,11 @@ def test_every_deck_slot_passes_its_check(monkeypatch, name):
                               calibrate=False)
     assert len(phase) == workload.deck_size
     assert phase.failed == 0, phase.failures_by_op()
+
+
+def test_verify_all_defect_probe_runs(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    wl_verify = importlib.import_module("ncdrbench.wl_verify")
+    assert wl_verify._defect_at(0) is None
+    # None also stands for a check that crashed with another error.
+    assert wl_verify.verify.run_check(wl_verify.DEFECT_CHECK, 0).passed

@@ -1,6 +1,5 @@
 """Numeric directional derivatives against the closed-form table."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -28,7 +27,7 @@ from ncdr.errors import (
 from ncdr.gateaux import (
     BASE_STEP,
     LEVELS,
-    DiffConfig,
+    REL_TOL,
     MapEvaluator,
     differential_norm,
     differential_std_components,
@@ -293,7 +292,6 @@ def test_differential_norm():
 
 def test_derivative_table_conformance():
     rng = random.Random(23)
-    cfg = DiffConfig()
     for _ in range(25):
         x = random_invertible(rng)
         h = random_element(rng)
@@ -308,21 +306,8 @@ def test_derivative_table_conformance():
              - mul(mul(mul(mul(x, a), inverse(x)), h), inverse(x))),
         ]
         for f, want in cases:
-            got = gateaux(f, x, h, cfg)
+            got = gateaux(f, x, h)
             assert norm_float(got - want.to_float()) <= 1e-8 * max(1.0, norm_float(want))
-
-
-@pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -1.0])
-def test_diff_config_rejects_bad_rel_tol(rel_tol):
-    with pytest.raises(ValueError):
-        DiffConfig(rel_tol=rel_tol)
-
-
-def test_diff_config_holds_only_the_tolerance():
-    # The step schedule is fixed: BASE_STEP, RATIO and LEVELS are constants.
-    assert [f.name for f in dataclasses.fields(DiffConfig)] == ["rel_tol"]
-    with pytest.raises(TypeError):
-        DiffConfig(base_step=2.0**-6)
 
 
 def test_non_finite_derivatives_raise():
@@ -410,11 +395,10 @@ def test_nonconvergent_carries_its_numbers():
     kink = MapEvaluator.unary(
         H, lambda x: abs(float(x.coords[0]) - 1.0075) * I.to_float()
     )
-    cfg = DiffConfig()
     with pytest.raises(NonConvergent) as info:
-        gateaux(kink, ONE, ONE, cfg)
+        gateaux(kink, ONE, ONE)
     exc = info.value
-    assert exc.error > cfg.rel_tol * exc.scale
+    assert exc.error > REL_TOL * exc.scale
     assert exc.scale >= 1.0
     assert exc.step == BASE_STEP
     assert str(exc) == f"extrapolants disagree by {exc.error:.3e} (scale {exc.scale:.3e})"

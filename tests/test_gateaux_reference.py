@@ -9,8 +9,8 @@ and infinity through as derivatives, where the engine raises NonConvergent.
 Where the extrapolants disagree, both evaluate f at x once and raise the
 error f raises there, so that a pole at x is named rather than reported as
 non-convergence.
-The reference reads the engine's fixed step schedule (BASE_STEP, RATIO,
-LEVELS, SECOND_ORDER_TOL); only the tolerance of DiffConfig varies.
+The reference reads the engine's fixed step schedule and tolerances
+(BASE_STEP, RATIO, LEVELS, REL_TOL, SECOND_ORDER_TOL).
 """
 
 import importlib
@@ -26,7 +26,6 @@ from ncdr import maps
 from ncdr.algebra import COMPLEX, QUATERNIONS, Element, make_quaternion_algebra, mul
 from ncdr.errors import NcdrError, NonConvergent
 from ncdr.gateaux import (
-    DiffConfig,
     MapEvaluator,
     differential_std_components,
     gateaux_with_error,
@@ -57,7 +56,7 @@ def _flatten(elem):
     return np.array([float(c) for c in elem.coords], dtype=float)
 
 
-def reference_directional(f, x, a, cfg):
+def reference_directional(f, x, a):
     parts = [(xi.alg, xi.coords, ai.coords) for xi, ai in zip(x, a)]
 
     def shifted(t):
@@ -71,7 +70,7 @@ def reference_directional(f, x, a, cfg):
     with np.errstate(all="ignore"):
         value, err = reference_richardson(sample)
     scale = max(1.0, float(np.max(np.abs(value))))
-    if err > cfg.rel_tol * scale:
+    if err > engine.REL_TOL * scale:
         exc = NonConvergent(
             f"extrapolants disagree by {err:.3e} (scale {scale:.3e})",
             error=err,
@@ -86,12 +85,12 @@ def reference_directional(f, x, a, cfg):
     return value, err
 
 
-def reference_second_gateaux(f, x, a1, a2, cfg):
-    outer_tol = max(cfg.rel_tol, engine.SECOND_ORDER_TOL)
+def reference_second_gateaux(f, x, a1, a2):
+    outer_tol = max(engine.REL_TOL, engine.SECOND_ORDER_TOL)
     x, a1, a2 = x.to_float(), a1.to_float(), a2.to_float()
 
     def g(y):
-        return reference_directional(f, (y,), (a1,), cfg)[0]
+        return reference_directional(f, (y,), (a1,))[0]
 
     def sample(t):
         return (g(x + t * a2) - g(x - t * a2)) / (2.0 * t)
@@ -159,22 +158,22 @@ def assert_same(got, want):
         assert got == want
 
 
-def check_entry_points(f, x, a, cfg, b=None):
+def check_entry_points(f, x, a, b=None):
     """Compare every engine entry point at (x, a), the unary ones only for D -> D."""
     xt = tuple(e.to_float() for e in (x if isinstance(x, tuple) else (x,)))
     at = tuple(e.to_float() for e in (a if isinstance(a, tuple) else (a,)))
-    assert_same(outcome(lambda: engine._directional(f, xt, at, cfg)),
-                outcome(lambda: reference_directional_lists(f, xt, at, cfg)))
-    calls = [lambda: gateaux_with_error(f, x, a, cfg), lambda: jacobian(f, x, cfg)]
+    assert_same(outcome(lambda: engine._directional(f, xt, at)),
+                outcome(lambda: reference_directional_lists(f, xt, at)))
+    calls = [lambda: gateaux_with_error(f, x, a), lambda: jacobian(f, x)]
     if b is not None:
-        calls.append(lambda: differential_std_components(f, x, cfg))
+        calls.append(lambda: differential_std_components(f, x))
     for call in calls:
         with reference_engine():
             want = outcome(call)
         assert_same(outcome(call), want)
     if b is not None:
-        assert_same(outcome(lambda: second_gateaux(f, x, a, b, cfg)),
-                    outcome(lambda: reference_second_gateaux(f, x, a, b, cfg)))
+        assert_same(outcome(lambda: second_gateaux(f, x, a, b)),
+                    outcome(lambda: reference_second_gateaux(f, x, a, b)))
 
 
 def unary_maps(b, c):
@@ -196,7 +195,6 @@ algebras = st.one_of(
     st.builds(make_quaternion_algebra, nonunit, nonunit),
 )
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=12)
-configs = st.sampled_from([DiffConfig(), DiffConfig(rel_tol=1e-10)])
 
 
 @st.composite
@@ -205,14 +203,14 @@ def points(draw):
     return [alg.element([draw(scalars) for _ in range(alg.dim)]) for _ in range(4)]
 
 
-@given(points(), configs)
+@given(points())
 @settings(max_examples=40, deadline=None)
-def test_engine_matches_reference(pts, cfg):
+def test_engine_matches_reference(pts):
     x, a, b, c = pts
     for f in unary_maps(b, c):
-        check_entry_points(f, x, a, cfg, b=b)
+        check_entry_points(f, x, a, b=b)
     product = MapEvaluator.nary(x.alg, 2, mul)
-    check_entry_points(product, (x, b), (a, c), cfg)
+    check_entry_points(product, (x, b), (a, c))
 
 
 def test_engine_matches_reference_on_builtin_table():
@@ -223,7 +221,7 @@ def test_engine_matches_reference_on_builtin_table():
                                                     COMPLEX.element([1, 2]))]:
         point = x if alg is H else COMPLEX.element([3, "-1/4"])
         for f in unary_maps(b, c):
-            check_entry_points(f, point, a, DiffConfig(), b=b)
+            check_entry_points(f, point, a, b=b)
 
 
 def test_same_nonconvergent_as_reference():
@@ -233,8 +231,8 @@ def test_same_nonconvergent_as_reference():
     bent = MapEvaluator.unary(
         H, lambda x: float(x.coords[1]) * abs(float(x.coords[0]) - 1.0075) * i.to_float()
     )
-    check_entry_points(kink, one, one, DiffConfig(), b=i)
-    check_entry_points(bent, one, i, DiffConfig(), b=one)
+    check_entry_points(kink, one, one, b=i)
+    check_entry_points(bent, one, i, b=one)
     got = outcome(lambda: second_gateaux(bent, one, i, one))
     assert got[:2] == ("raised", "NonConvergent")
 
@@ -247,4 +245,4 @@ def test_non_finite_reference_values_raise():
     with reference_engine():
         value, _ = gateaux_with_error(maps.cube(H), big, i)
     assert not all(math.isfinite(v) for v in value.coords)
-    check_entry_points(maps.cube(H), big, i, DiffConfig(), b=j)
+    check_entry_points(maps.cube(H), big, i, b=j)

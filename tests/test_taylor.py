@@ -94,13 +94,22 @@ def _count_word_evals(monkeypatch):
 
 
 def test_obstruction_costs_one_order(monkeypatch):
-    # h x^32 is obstructed at order 2; the x lattice of degree 31 varies
-    # slowest, so the first x point meets a witness among the h bindings.
+    # h x^32 is obstructed, so dP = F fails; the x lattice of degree 32
+    # varies slowest, so its first points meet a witness among the h bindings.
     rhs = OdeRhs(parse_word_poly(H, "h*x^32"))
     calls = _count_word_evals(monkeypatch)
     with pytest.raises(NoSolution):
         solve_ode_taylor(rhs, H.zero, H.zero)
     assert 0 < len(calls) <= 16
+
+
+def test_symmetric_rhs_is_checked_once(monkeypatch):
+    # dP = F alone decides solvability: a symmetric F over C costs only the
+    # lattice of dP - F, 33 x points by 2 h points.
+    rhs = OdeRhs(parse_word_poly(COMPLEX, "33*h*x^32"))
+    calls = _count_word_evals(monkeypatch)
+    solve_ode_taylor(rhs, COMPLEX.zero, COMPLEX.zero)
+    assert len(calls) <= 100
 
 
 @pytest.mark.parametrize("alg, rhs_poly", [
@@ -254,10 +263,10 @@ def test_exp_flow_defect():
 
 
 def test_euler_checks():
-    assert euler_check(maps.square(H), 2, samples=10) < 1e-7
+    assert euler_check(maps.square(H), 2) < 1e-7
     rng = random.Random(13)
     b = H.element([rng.uniform(-1, 1) for _ in range(4)])
     c = H.element([rng.uniform(-1, 1) for _ in range(4)])
     linear = MapEvaluator.unary(H, lambda v: mul(mul(b, v), c))
-    assert euler_check(linear, 1, samples=10) < 1e-8
-    assert euler_check(maps.cube(H), 3, samples=10) < 1e-7
+    assert euler_check(linear, 1) < 1e-8
+    assert euler_check(maps.cube(H), 3) < 1e-7
