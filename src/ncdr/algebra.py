@@ -38,8 +38,6 @@ from .errors import (
     ZeroParameter,
 )
 
-# Exact scalar of the algebraic kernel.  Numeric paths substitute float.
-Scalar = Fraction
 ScalarLike = Union[Fraction, int, float]
 
 _MODULUS = sys.hash_info.modulus
@@ -83,8 +81,11 @@ class AlgebraSpec:
         C = self.structure
         if len(C) != n or any(len(row) != n or any(len(v) != n for v in row) for row in C):
             raise DimensionMismatch("structure tensor must be n x n x n")
-        if self.conj_signs is not None and len(self.conj_signs) != n:
-            raise DimensionMismatch("conj_signs length must equal dim")
+        if self.conj_signs is not None:
+            if len(self.conj_signs) != n:
+                raise DimensionMismatch("conj_signs length must equal dim")
+            if any(s not in (1, -1) for s in self.conj_signs):
+                raise AxiomViolated("conj_signs entries must be 1 or -1")
         # Unit axiom: e_0 * e_r = e_r * e_0 = e_r.
         for r in range(n):
             for j in range(n):
@@ -183,7 +184,9 @@ class AlgebraSpec:
             tuple(tuple(flat[(k * n + l) * n + p] for p in range(n)) for l in range(n))
             for k in range(n)
         )
-        signs = tuple(int(s) for s in doc.get("conj_signs") or ())
+        signs = tuple(doc.get("conj_signs") or ())
+        if any(type(s) is not int for s in signs):
+            raise ParseError("conj_signs entries must be integers")
         return cls(name=name, dim=n, structure=C, conj_signs=signs or None)
 
 
@@ -406,7 +409,7 @@ def conj(x: Element) -> Element:
     if signs is None:
         raise WrongDimension(f"algebra {x._alg.name} defines no conjugation")
     if x._ints is None:
-        return _float_element(x._alg, tuple([c if s == 1 else -c if s == -1 else s * c
+        return _float_element(x._alg, tuple([c if s == 1 else -c
                                              for s, c in zip(signs, x._coords)]))
     num, den = x._ints
     return _reduced(x._alg, [s * v for s, v in zip(signs, num)], den)

@@ -17,7 +17,7 @@ from .algebra import CANONICAL, AlgebraSpec, _read_json, format_element, mul
 from .errors import NcdrError, ParseError
 from .gateaux import MapEvaluator, differential_std_components, jacobian
 from .linmap import CoordMatrix, StdComponents, big_c, compose_std, coord_to_std, std_to_coord
-from .ncpoly import eval_poly, sym_derivative, taylor_poly
+from .ncpoly import sym_derivative, taylor_poly, word_eval
 from .parsing import parse_element, parse_ncpoly, parse_rational, parse_word_poly
 from .taylor import OdeRhs, exp, exp_additivity_gap, solve_ode_taylor
 from .verify import derivative_table_residuals, run_verify_all
@@ -76,8 +76,8 @@ def _print_grid(rows, as_json: bool) -> None:
 
 def _evaluator(alg: AlgebraSpec, name: str) -> MapEvaluator:
     if name.startswith("poly:"):
-        poly = parse_ncpoly(alg, name[len("poly:"):])
-        return MapEvaluator.unary(alg, lambda x: eval_poly(poly, x))
+        words = parse_word_poly(alg, name[len("poly:"):], frozenset({"x"}))
+        return MapEvaluator.unary(alg, lambda x: word_eval(words, {"x": x}))
     try:
         return maps.BUILTINS[name](alg)
     except KeyError:

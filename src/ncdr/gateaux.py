@@ -63,11 +63,11 @@ NORM_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class MapEvaluator:
-    """A deterministic black-box map from domain[1] arguments in domain[0]
-    to one element of codomain; fn takes the arguments positionally."""
+    """A deterministic black-box map from arity arguments in alg to one
+    element of alg; fn takes the arguments positionally."""
 
-    domain: tuple[AlgebraSpec, int]
-    codomain: AlgebraSpec
+    alg: AlgebraSpec
+    arity: int
     fn: Callable[..., Element]
 
     @classmethod
@@ -76,7 +76,7 @@ class MapEvaluator:
 
     @classmethod
     def nary(cls, alg: AlgebraSpec, arity: int, f: Callable[..., Element]) -> "MapEvaluator":
-        return cls((alg, arity), alg, f)
+        return cls(alg, arity, f)
 
     def __call__(self, args: tuple[Element, ...]) -> Element:
         return self.fn(*args)
@@ -85,8 +85,8 @@ class MapEvaluator:
 def _float_point(f: MapEvaluator, point: Point) -> tuple[Element, ...]:
     """A point or direction as float elements, one per argument slot."""
     point = (point,) if isinstance(point, Element) else tuple(point)
-    if len(point) != f.domain[1]:
-        raise DimensionMismatch(f"expected {f.domain[1]} elements")
+    if len(point) != f.arity:
+        raise DimensionMismatch(f"expected {f.arity} elements")
     return tuple(e.to_float() for e in point)
 
 
@@ -153,7 +153,7 @@ def _directional(
 def gateaux_with_error(f: MapEvaluator, x: Point, a: Point) -> tuple[Element, float]:
     """Directional derivative and its extrapolation error estimate."""
     value, err = _directional(f, _float_point(f, x), _float_point(f, a))
-    return _float_element(f.codomain, tuple(value)), err
+    return _float_element(f.alg, tuple(value)), err
 
 
 def gateaux(f: MapEvaluator, x: Point, a: Point) -> Element:
@@ -162,7 +162,7 @@ def gateaux(f: MapEvaluator, x: Point, a: Point) -> Element:
 
 
 def _require_scalar_map(f: MapEvaluator) -> None:
-    if f.domain[1] != 1:
+    if f.arity != 1:
         raise DimensionMismatch("directional-ratio derivatives need a map D -> D")
 
 
@@ -186,10 +186,9 @@ def star_d(f: MapEvaluator, x: Element, a: Element) -> Element:
 
 def partial_gateaux(f: MapEvaluator, x: Sequence[Element], i: int, h: Element) -> Element:
     """Directional derivative perturbing only argument slot i."""
-    arity = f.domain[1]
-    if not 0 <= i < arity:
-        raise IndexOutOfRange(f"slot {i} outside arity {arity}")
-    direction = tuple(h if k == i else f.domain[0].zero for k in range(arity))
+    if not 0 <= i < f.arity:
+        raise IndexOutOfRange(f"slot {i} outside arity {f.arity}")
+    direction = tuple(h if k == i else f.alg.zero for k in range(f.arity))
     return gateaux(f, tuple(x), direction)
 
 
@@ -210,7 +209,7 @@ def second_gateaux(f: MapEvaluator, x: Element, a1: Element, a2: Element) -> Ele
     value, _ = _richardson(
         sample, SECOND_ORDER_TOL, "second-order extrapolants disagree by {error:.3e}"
     )
-    return _float_element(f.codomain, tuple(value))
+    return _float_element(f.alg, tuple(value))
 
 
 def mixed_partial_residual(f: MapEvaluator, x: Element, a1: Element, a2: Element) -> float:
@@ -224,15 +223,14 @@ def jacobian(f: MapEvaluator, x: Point) -> np.ndarray:
     """Real Jacobian: entry (j, i) is the derivative of output coordinate j
     with respect to input coordinate i, by central differences."""
     xt = _float_point(f, x)
-    alg_in, arity_in = f.domain
-    n_in = alg_in.dim
-    zero = _float_element(alg_in, (0.0,) * n_in)
-    units = [_float_element(alg_in, tuple(float(i == c) for i in range(n_in)))
+    n_in = f.alg.dim
+    zero = _float_element(f.alg, (0.0,) * n_in)
+    units = [_float_element(f.alg, tuple(float(i == c) for i in range(n_in)))
              for c in range(n_in)]
     cols = []
-    for slot in range(arity_in):
+    for slot in range(f.arity):
         for unit in units:
-            direction = tuple(unit if k == slot else zero for k in range(arity_in))
+            direction = tuple(unit if k == slot else zero for k in range(f.arity))
             col, _ = _directional(f, xt, direction)
             cols.append(col)
     return np.array(list(zip(*cols)))
@@ -246,7 +244,7 @@ def differential_std_components(f: MapEvaluator, x: Element) -> StdSolution:
     solve decides representability at LSTSQ_RESIDUAL_TOL.
     """
     _require_scalar_map(f)
-    alg = f.domain[0]
+    alg = f.alg
     n = alg.dim
     jac = jacobian(f, x)
     snapped = [[Fraction(float(jac[j, i])).limit_denominator(SNAP_DENOMINATOR)
@@ -274,7 +272,7 @@ def differential_std_components(f: MapEvaluator, x: Element) -> StdSolution:
 def verify_product_rule(f: MapEvaluator, g: MapEvaluator, x: Element, a: Element) -> float:
     """Residual of d(fg)(x)(a) = df(x)(a) g(x) + f(x) dg(x)(a)."""
     x, a = x.to_float(), a.to_float()
-    product = MapEvaluator.unary(f.domain[0], lambda y: mul(f((y,)), g((y,))))
+    product = MapEvaluator.unary(f.alg, lambda y: mul(f((y,)), g((y,))))
     lhs = gateaux(product, x, a)
     rhs = mul(gateaux(f, x, a), g((x,))) + mul(f((x,)), gateaux(g, x, a))
     return norm_float(lhs - rhs)
@@ -283,7 +281,7 @@ def verify_product_rule(f: MapEvaluator, g: MapEvaluator, x: Element, a: Element
 def verify_chain_rule(g: MapEvaluator, f: MapEvaluator, x: Element, a: Element) -> float:
     """Residual of d(g o f)(x)(a) = dg(f(x))(df(x)(a))."""
     x, a = x.to_float(), a.to_float()
-    composed = MapEvaluator.unary(f.domain[0], lambda y: g((f((y,)),)))
+    composed = MapEvaluator.unary(f.alg, lambda y: g((f((y,)),)))
     lhs = gateaux(composed, x, a)
     rhs = gateaux(g, f((x,)), gateaux(f, x, a))
     return norm_float(lhs - rhs)

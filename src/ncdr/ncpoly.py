@@ -13,12 +13,12 @@ which keeps the structural identities (vanishing above the degree, n! on the
 diagonal, permutation symmetry) exact by construction.
 
 Taylor terms need only the diagonal of those derivatives, where the
-polarization holds each choice of k slots k! times.  taylor_poly therefore
-builds term k directly from the k-subsets of the x-slots: C(n, k) words for a
-degree-n monomial, not n!/(n-k)!.  The subsets are walked as a tree of
-slot fillings, so fillings that share a prefix share its constant products;
-term 0 is the filling with y0 in every slot.  WordPoly.substitute expands the
-same way; TaylorExpansion.reconstruct substitutes h = x - y0 into all its
+polarization holds each choice of k slots k! times: term k is the part of
+p(h + y0) of degree k in h.  taylor_poly therefore substitutes x = h + y0 and
+sorts the words by their count of h, C(n, k) words for term k of a degree-n
+monomial, not n!/(n-k)!.  WordPoly.substitute walks each word's slot
+fillings as a tree, so fillings that share a prefix share its constant
+products; TaylorExpansion.reconstruct substitutes h = x - y0 into all its
 terms at once, so their words merge once.
 
 Formal words mixing constants and variables live in WordPoly.  Their formal
@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .algebra import AlgebraSpec, Element, _exact, mul
 from .errors import (
@@ -173,35 +173,6 @@ def _canonical(alg: AlgebraSpec, raw: Iterable[Term]) -> tuple[Term, ...]:
     return _collect(fused)
 
 
-def _fill_slots(
-    alg: AlgebraSpec, coeff: Fraction, segments: Sequence[Word], fills: Sequence[Term]
-) -> list[list[Term]]:
-    """Canonical terms of coeff g_0 s_1 g_1 ... s_n g_n over every filling.
-
-    segments are the words g_0..g_n; each slot s_i takes in turn each term
-    (c, w) of fills, which multiplies the coefficient by c.  Result m lists
-    the fillings in which exactly m slots took fills[0].  Fillings that share
-    a prefix share its fusion, so a word with n slots and two fills costs
-    about 2^(n+1) constant products instead of n 2^n.
-    """
-    n = len(segments) - 1
-    out: list[list[Term]] = [[] for _ in range(n + 1)]
-    first = _extend(((), coeff), segments[0])
-    stack = [(0, 0, first)] if first is not None else []
-    while stack:
-        i, m, (word, scale) = stack.pop()
-        if i == n:
-            out[m].append((scale, word or (Const(alg.one),)))
-            continue
-        for j, (c, w) in enumerate(fills):
-            state = _extend((word, scale * c), w)
-            if state is not None:
-                state = _extend(state, segments[i + 1])
-            if state is not None:
-                stack.append((i + 1, m + (j == 0), state))
-    return out
-
-
 @dataclass(frozen=True)
 class WordPoly:
     """Formal sum of scalar-weighted words of constants and variables."""
@@ -231,13 +202,13 @@ class WordPoly:
     def variables(self) -> set[str]:
         return {f.name for _, w in self.terms for f in w if isinstance(f, Var)}
 
-    def var_degree(self) -> int:
-        return max(
-            (sum(isinstance(f, Var) for f in w) for _, w in self.terms), default=0
-        )
+    def _check_same(self, other: "WordPoly") -> None:
+        if self.alg is not other.alg and self.alg != other.alg:
+            raise AlgebraMismatch("word polynomials over different algebras")
 
     def __add__(self, other: "WordPoly") -> "WordPoly":
         # Both operands are canonical, so their words only need merging.
+        self._check_same(other)
         return WordPoly(self.alg, _collect(self.terms + other.terms))
 
     def __sub__(self, other: "WordPoly") -> "WordPoly":
@@ -248,6 +219,7 @@ class WordPoly:
 
     def __mul__(self, other: object) -> "WordPoly":
         if isinstance(other, WordPoly):
+            self._check_same(other)
             words = len(self.terms) * len(other.terms)
             if words > MAX_PRODUCT_WORDS:
                 raise DegreeTooLarge(
@@ -294,8 +266,12 @@ class WordPoly:
     def substitute(self, name: str, replacement: "WordPoly") -> "WordPoly":
         """Replace every occurrence of the variable and expand products.
 
-        The expansions of one word share the fusion of their common prefixes.
+        Each word's slot fillings are walked as a tree, so fillings that share
+        a prefix share its fusion: a word with n slots and a two-term
+        replacement costs about 2^(n+1) constant products instead of n 2^n.
         """
+        self._check_same(replacement)
+        alg = self.alg
         raw: list[Term] = []
         for coeff, word in self.terms:
             segments: list[list[Factor]] = [[]]
@@ -304,10 +280,21 @@ class WordPoly:
                     segments.append([])
                 else:
                     segments[-1].append(f)
-            for terms in _fill_slots(self.alg, coeff, segments, replacement.terms):
-                raw += terms
+            first = _extend(((), coeff), segments[0])
+            stack = [(1, first)] if first is not None else []
+            while stack:
+                i, (out, scale) = stack.pop()
+                if i == len(segments):
+                    raw.append((scale, out or (Const(alg.one),)))
+                    continue
+                for c, w in replacement.terms:
+                    state = _extend((out, scale * c), w)
+                    if state is not None:
+                        state = _extend(state, segments[i])
+                    if state is not None:
+                        stack.append((i + 1, state))
         # The fillings come out fused, so they only need merging.
-        return WordPoly(self.alg, _collect(raw))
+        return WordPoly(alg, _collect(raw))
 
     def substitute_element(self, name: str, value: Element) -> "WordPoly":
         return self.substitute(name, WordPoly.constant(value))
@@ -340,10 +327,11 @@ class WordPoly:
 
 
 def word_eval(w: WordPoly, bindings: Mapping[str, Element]) -> Element:
-    """Exact substitution and left-to-right product."""
+    """Substitution and left-to-right product, each product from its word's
+    exact scale, so float bindings round only in the products with them."""
     acc = w.alg.zero
     for coeff, word in w.terms:
-        value = w.alg.one
+        value = w.alg.scalar(coeff)
         for f in word:
             if isinstance(f, Var):
                 if f.name not in bindings:
@@ -351,7 +339,7 @@ def word_eval(w: WordPoly, bindings: Mapping[str, Element]) -> Element:
                 value = mul(value, bindings[f.name])
             else:
                 value = mul(value, f.value)
-        acc = acc + coeff * value
+        acc = acc + value
     return acc
 
 
@@ -365,8 +353,6 @@ def extensional_equal(w1: WordPoly, w2: WordPoly) -> bool:
     1977).  The highest-degree symbol varies slowest, so an unequal pair meets
     a witness early.  DegreeTooLarge past _MAX_EVAL_WORDS words evaluated.
     """
-    if w1.alg != w2.alg:
-        raise AlgebraMismatch("word polynomials over different algebras")
     diff = w1 - w2
     if diff.is_zero():
         return True
@@ -457,16 +443,10 @@ def ncpoly_from_words(w: WordPoly, name: str = "x") -> NCPoly:
 
 
 def eval_poly(p: NCPoly, x: Element) -> Element:
-    """Exact evaluation, left-to-right per monomial."""
+    """Exact evaluation of p's words at x."""
     if x.alg != p.alg:
         raise AlgebraMismatch("point belongs to a different algebra")
-    acc = p.alg.zero
-    for m in p.monomials:
-        value = m.coefficients[0]
-        for c in m.coefficients[1:]:
-            value = mul(mul(value, x), c)
-        acc = acc + value
-    return acc
+    return word_eval(p.to_words("x"), {"x": x})
 
 
 def sym_derivative(p: NCPoly, order: int) -> WordPoly:
@@ -521,11 +501,11 @@ def taylor_poly(p: NCPoly, y0: Element) -> TaylorExpansion:
     """Taylor coefficients (k!)^{-1} d^k p(y0) on the diagonal direction.
 
     On the diagonal, the order-k polarization of a_0 x a_1 ... x a_n holds
-    each k-subset of the n x-slots k! times, so term k is the sum over the
-    C(n, k) subsets of the word with h in the chosen slots and y0 in the
-    others.  The expansion terminates at deg p: a degree-n monomial has no
-    subset of more than n slots.  DegreeTooLarge when the terms would hold
-    more than MAX_TAYLOR_WORDS words in all, counted as the sum of 2^n.
+    each k-subset of the n x-slots k! times, so term k is the sum of the words
+    with h in k slots and y0 in the others: the words of p(h + y0) that hold h
+    k times.  The expansion terminates at deg p.  DegreeTooLarge when the
+    terms would hold more than MAX_TAYLOR_WORDS words in all, counted as the
+    sum of 2^n.
     """
     alg = p.alg
     words = sum(2**m.degree for m in p.monomials)
@@ -533,11 +513,9 @@ def taylor_poly(p: NCPoly, y0: Element) -> TaylorExpansion:
         raise DegreeTooLarge(
             f"Taylor expansion would build {words} words (limit {MAX_TAYLOR_WORDS})"
         )
+    shift = WordPoly.variable(alg, "h") + WordPoly.constant(y0)
     by_order: list[list[Term]] = [[] for _ in range(max(p.degree, 0) + 1)]
-    fills = ((Fraction(1), (Var("h"),)), (Fraction(1), (Const(y0),)))
-    for m in p.monomials:
-        segments = [(Const(c),) for c in m.coefficients]
-        for k, terms in enumerate(_fill_slots(alg, Fraction(1), segments, fills)):
-            by_order[k] += terms
-    terms = tuple(ncpoly_from_words(WordPoly.build(alg, raw), "h") for raw in by_order)
+    for term in p.to_words("x").substitute("x", shift).terms:
+        by_order[term[1].count(Var("h"))].append(term)
+    terms = tuple(ncpoly_from_words(WordPoly(alg, tuple(t)), "h") for t in by_order)
     return TaylorExpansion(base_point=y0, terms=terms)

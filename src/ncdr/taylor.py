@@ -184,7 +184,7 @@ def exp_flow_defect(alg: AlgebraSpec, k: int) -> WordPoly:
 def euler_check(f: MapEvaluator, k: int, seed: int = 0) -> float:
     """Max relative residual of df(v)(v) = k f(v) over 20 random points."""
     rng = random.Random(seed)
-    alg = f.domain[0]
+    alg = f.alg
     worst = 0.0
     for _ in range(20):
         v = alg.element([rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) for _ in range(alg.dim)])

@@ -292,11 +292,23 @@ def _corrupt(**changes):
         _corrupt(structure=5),
         _corrupt(structure=["1", "0", "0", "1"]),
         _corrupt(conj_signs=["+", "-"]),
+        _corrupt(conj_signs=[1, 2.7]),
+        _corrupt(conj_signs=[1, -1.0]),
+        _corrupt(conj_signs=[True, -1]),
     ],
 )
 def test_from_json_rejects_malformed_documents(text):
     with pytest.raises(ParseError):
         AlgebraSpec.from_json(text)
+
+
+def test_conj_signs_must_be_units():
+    # A sign of 2 would make inverse(1+i) = -1-2i, which is no inverse.
+    with pytest.raises(AxiomViolated):
+        AlgebraSpec.from_json(_corrupt(conj_signs=[1, 2]))
+    with pytest.raises(AxiomViolated):
+        AlgebraSpec(name="C", dim=2, structure=COMPLEX.structure, conj_signs=(1, 0))
+    assert AlgebraSpec.from_json(_corrupt(conj_signs=[1, -1])) == COMPLEX
 
 
 def test_equal_elements_hash_equal():

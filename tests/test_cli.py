@@ -42,6 +42,19 @@ def test_algebra_check_rejects_corrupted_file(tmp_path, capsys):
     assert err.startswith("AxiomViolated: ")
 
 
+@pytest.mark.parametrize("signs, error", [([1, 2.7], "ParseError"), ([1, 2], "AxiomViolated")])
+def test_algebra_check_rejects_bad_conj_signs(tmp_path, capsys, signs, error):
+    from ncdr.algebra import COMPLEX
+
+    doc = json.loads(COMPLEX.to_json())
+    doc["conj_signs"] = signs
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "algebra", "check", "--file", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{error}: ")
+
+
 @pytest.mark.parametrize("text", ["{}", "[1, 2]"])
 def test_algebra_check_rejects_malformed_document(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
@@ -125,6 +138,24 @@ def test_diff_jacobian(capsys):
         for j in range(4):
             want = 1.0 if i == j == 0 else (-1.0 if i == j else 0.0)
             assert abs(jac[i][j] - want) < 1e-10
+
+
+# Pinned bytes of two poly: maps' Jacobians.  The second map's rational scales
+# round in the float products, so its bytes change if a scale enters its
+# product at another place.
+@pytest.mark.parametrize("expr, at, want", [
+    ("x^3 + (1+i)*x*j*x - 2", "1+2i-j+k",
+     "[[-13.0, -14.0, 8.0, -6.0], [14.0, -9.0, -2.0, -4.0], "
+     "[-4.0, 8.0, -1.0, 2.0], [8.0, 0.0, 2.0, -1.0]]\n"),
+    ("3*x^2 - 1/3*x*i*x + 5", "1+2i-j+k",
+     "[[7.33333333333359, -11.33333333333359, 5.999999999999339, -5.999999999999339], "
+     "[11.33333333333282, 7.33333333333359, 0.6666666666671788, -0.6666666666671788], "
+     "[-6.0, -0.6666666666664105, 7.33333333333359, 0.0], "
+     "[5.999999999999616, 0.6666666666664105, 3.8409910173088844e-13, 7.33333333333359]]\n"),
+])
+def test_diff_jacobian_poly_map_bytes(capsys, expr, at, want):
+    code, out, _ = run(capsys, "diff", "jacobian", "--map", f"poly:{expr}", "--at", at, "--json")
+    assert (code, out) == (0, want)
 
 
 def test_diff_std_components_poly_map(capsys):

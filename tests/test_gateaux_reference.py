@@ -105,7 +105,7 @@ def reference_second_gateaux(f, x, a1, a2):
             scale=scale,
             step=engine.BASE_STEP,
         )
-    return Element(f.codomain, tuple(value.tolist()))
+    return Element(f.alg, tuple(value.tolist()))
 
 
 def reference_directional_lists(*args):

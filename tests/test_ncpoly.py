@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ncdr import maps, ncpoly
 from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra, mul, norm_float
-from ncdr.errors import DegreeTooLarge, RangeError, UnboundSymbol
+from ncdr.errors import AlgebraMismatch, DegreeTooLarge, RangeError, UnboundSymbol
 from ncdr.gateaux import gateaux
 from ncdr.ncpoly import (
     MAX_DERIVATIVE_WORDS,
@@ -182,6 +182,27 @@ def test_split_equality_evaluates_sixteen_bindings(monkeypatch):
     monkeypatch.setattr(ncpoly, "word_eval", lambda w, b: calls.append(b) or real(w, b))
     assert extensional_equal(w1, parts + second)
     assert calls == [{"h": H.basis(i), "x": H.basis(j)} for i in range(4) for j in range(4)]
+
+
+@pytest.mark.parametrize("op", [
+    lambda x, c: x + c,
+    lambda x, c: x - c,
+    lambda x, c: x * c,
+    lambda x, c: c * x,
+    lambda x, c: x.substitute("x", c),
+    lambda x, c: x.substitute("x", WordPoly.zero(c.alg)),
+])
+def test_word_poly_operations_reject_other_algebras(op):
+    # x + (0+1i) over H would print as a polynomial of H holding a C constant.
+    with pytest.raises(AlgebraMismatch):
+        op(wp_var("x"), WordPoly.constant(COMPLEX.basis(1)))
+
+
+def test_taylor_poly_rejects_base_point_of_other_algebra():
+    with pytest.raises(AlgebraMismatch):
+        taylor_poly(poly("x^2"), COMPLEX.basis(1))
+    with pytest.raises(AlgebraMismatch):
+        eval_poly(poly("x^2"), COMPLEX.basis(1))
 
 
 def test_vanishing_above_degree():
