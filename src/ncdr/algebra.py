@@ -63,8 +63,8 @@ class AlgebraSpec:
 
     structure[k][l][p] is the e_p-coordinate of e_k * e_l.  conj_signs, when
     present, is the (+1, -1, ..., -1) vector splitting the basis into unit and
-    pure part; algebras without that split reject conjugation-dependent
-    operations.
+    pure part, and x * conj(x) must be a scalar for every x; algebras without
+    that split reject conjugation-dependent operations.
     """
 
     name: str
@@ -104,6 +104,14 @@ class AlgebraSpec:
         bad = min((key for key, v in diff.items() if v), default=None)
         if bad is not None:
             raise AxiomViolated(f"associativity violated at (e_{bad[0]} e_{bad[1]}) e_{bad[2]}")
+        if self.conj_signs is not None:
+            # x conj(x) = sum x_k x_l s_l e_k e_l must lie in Q e_0 for every x:
+            # each symmetric coefficient of x_k x_l off e_0 vanishes.
+            norm: defaultdict[tuple[int, int, int], int] = defaultdict(int)
+            for k, l, p, c in triples:
+                norm[min(k, l), max(k, l), p] += self.conj_signs[l] * c
+            if any(v for (_, _, p), v in norm.items() if p):
+                raise AxiomViolated("conj_signs do not make x * conj(x) a scalar")
 
     @cached_property
     def _nonzero_triples(self) -> tuple[tuple[int, int, int, Fraction], ...]:

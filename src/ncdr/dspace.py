@@ -177,6 +177,10 @@ class ComponentMap:
     alg: AlgebraSpec
     pairs: tuple[tuple[tuple[tuple[Element, Element], ...], ...], ...]
 
+    def __post_init__(self) -> None:
+        if any(len(r) != self.cols for r in self.pairs):
+            raise DimensionMismatch("component map rows must have equal lengths")
+
     @property
     def rows(self) -> int:
         return len(self.pairs)

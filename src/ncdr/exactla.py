@@ -3,11 +3,12 @@
 One elimination routine serves every operation: fraction-free (Bareiss)
 Gauss-Jordan on a copy whose rows are scaled to integers.  Rank is its pivot
 count, the determinant its common pivot value divided by the row scales, and
-the reduced row echelon form that solving, nullspaces and inverses read is
-its integer matrix over that pivot value.  Products scale each row of the
-left factor and each column of the right one to integer numerators over the
-lcm of their denominators, take integer dot products and make one Fraction
-per entry.  No floating point anywhere.
+the reduced row echelon form that solving, nullspaces, inverses and
+pseudo-inverses read is its integer matrix over that pivot value.  Products
+scale each row of the left factor and each column of the right one to
+integer numerators over the lcm of their denominators, take integer dot
+products and make one Fraction per entry.  Rows may be lists or tuples.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -153,21 +154,16 @@ def nullspace(M: Matrix) -> list[Vector]:
     return _kernel(R, pivots, len(M[0]))
 
 
-def _solve_rref(M: Matrix, b: Vector) -> tuple[Vector | None, Matrix, list[int]]:
-    """solve's x (None if inconsistent) with the rref R and pivots of [M | b]."""
+def solve(M: Matrix, b: Vector) -> Vector | None:
+    """One solution of M x = b (free variables at 0), or None if inconsistent."""
     cols = len(M[0])
-    R, pivots = rref([row + [rhs] for row, rhs in zip(M, b)])
+    R, pivots = rref([[*row, rhs] for row, rhs in zip(M, b)])
     if cols in pivots:
-        return None, R, pivots
+        return None
     x = [Fraction(0)] * cols
     for row, pc in enumerate(pivots):
         x[pc] = R[row][cols]
-    return x, R, pivots
-
-
-def solve(M: Matrix, b: Vector) -> Vector | None:
-    """One solution of M x = b (free variables at 0), or None if inconsistent."""
-    return _solve_rref(M, b)[0]
+    return x
 
 
 def inverse(M: Matrix) -> Matrix:
@@ -195,7 +191,7 @@ def eliminate_square(M: Matrix) -> SquareElimination:
     """
     n = len(M)
     assert all(len(row) == n for row in M)
-    aug = [row[:] + ident_row for row, ident_row in zip(M, identity(n))]
+    aug = [[*row, *ident_row] for row, ident_row in zip(M, identity(n))]
     A, factors = _integerize_rows(aug)
     _, pivots, sign, d = _fraction_free(A)
     left = [c for c in pivots if c < n]
@@ -206,19 +202,20 @@ def eliminate_square(M: Matrix) -> SquareElimination:
     return SquareElimination(n, value, [[Fraction(v, d) for v in row[n:]] for row in A], [])
 
 
-def min_norm_solution(M: Matrix, b: Vector) -> Vector | None:
-    """The solution of M x = b of least Euclidean norm, or None if none exists.
+def pseudo_inverse(M: Matrix) -> Matrix:
+    """Moore-Penrose inverse G^T (G G^T)^{-1} (F^T F)^{-1} F^T of M = F G, where
+    G is the nonzero rows of rref(M) and F the pivot columns of M; both have
+    full rank.  A rank-0 M gives the zero matrix of the transposed shape."""
+    R, pivots = rref(M)
+    if not pivots:
+        return [[Fraction(0)] * len(M) for _ in M[0]]
+    G, Ft = R[: len(pivots)], [[row[c] for row in M] for c in pivots]
+    Gt = list(zip(*G))
+    left = mat_mul(Gt, inverse(mat_mul(G, Gt)))
+    return mat_mul(left, mat_mul(inverse(mat_mul(Ft, list(zip(*Ft)))), Ft))
 
-    Computed as x0 - N (N^T N)^{-1} N^T x0, with x0 and the kernel basis N
-    both read off one elimination of [M | b]; exact since the Gram matrix of
-    an independent rational family is invertible.
-    """
-    x0, R, pivots = _solve_rref(M, b)
-    if x0 is None:
-        return None
-    N = _kernel(R, pivots, len(x0))  # rows are the kernel basis vectors
-    if not N:
-        return x0
-    gram = [[sum(a * c for a, c in zip(u, v)) for v in N] for u in N]
-    z = solve(gram, [sum(a * c for a, c in zip(u, x0)) for u in N])
-    return [x0[i] - sum(z[k] * N[k][i] for k in range(len(N))) for i in range(len(x0))]
+
+def min_norm_solution(M: Matrix, b: Vector) -> Vector | None:
+    """The solution M+ b of M x = b of least Euclidean norm, or None if none exists."""
+    x = mat_vec(pseudo_inverse(M), b)
+    return x if mat_vec(M, x) == list(b) else None

@@ -6,11 +6,11 @@ structure contraction ("big C") converts one into the other; its rank decides
 whether a coordinate matrix is representable at all and whether the standard
 components are unique.
 
-The exact layer runs on integers.  big_c keeps mat and its inverse as integer
-rows, so std_to_coord and an invertible coord_to_std are one row-vector product
-each; compose_std and embed_matrix sum numerators over the structure triples,
-and CoordMatrix.apply multiplies an exact element's numerators by integer rows.
-Only final entries become Fractions.
+The exact layer runs on integers.  big_c keeps mat and its pseudo-inverse as
+integer rows, so std_to_coord and coord_to_std are one row-vector product each,
+plus a membership check when mat is singular; compose_std and embed_matrix sum
+numerators over the structure triples, and CoordMatrix.apply multiplies an
+exact element's numerators by integer rows.  Only final entries are Fractions.
 
 CoordMatrix.apply and @, embed_matrix, coord_to_std, compose_std, kernel_rank
 and change_basis take exact scalars only; each raises TypeError on a float
@@ -114,7 +114,7 @@ class CoordMatrix:
     def __matmul__(self, other: "CoordMatrix") -> "CoordMatrix":
         if self.alg != other.alg:
             raise AlgebraMismatch("coordinate matrices over different algebras")
-        prod = exactla.mat_mul([list(r) for r in self.mat], [list(r) for r in other.mat])
+        prod = exactla.mat_mul(self.mat, other.mat)
         return CoordMatrix(self.alg, tuple(tuple(row) for row in prod))
 
     def to_json(self) -> str:
@@ -152,8 +152,8 @@ class BigC:
     Row index (j, i) flattens to j*n + i; column index (k, r) to k*n + r, so
     vec(coordinate matrix) = mat @ vec(standard components).  When singular,
     zero_map_kernel holds standard-component grids spanning the zero map.
-    mat_rows and inv_rows hold mat and inv as exactla.int_rows, the integer
-    rows that the exact conversions multiply with.
+    mat_rows and pinv_rows hold mat and its Moore-Penrose inverse as
+    exactla.int_rows, the integer rows that the exact conversions multiply with.
     """
 
     alg: AlgebraSpec
@@ -163,7 +163,7 @@ class BigC:
     zero_map_kernel: tuple[Grid, ...]
     inv: Grid | None
     mat_rows: list = field(repr=False, compare=False)
-    inv_rows: list | None = field(repr=False, compare=False)
+    pinv_rows: list = field(repr=False, compare=False)
 
     @cached_property
     def float_mat(self) -> np.ndarray:
@@ -203,7 +203,7 @@ def big_c(alg: AlgebraSpec) -> BigC:
         zero_map_kernel=tuple(_square(v, n) for v in elim.kernel),
         inv=None if elim.inverse is None else tuple(tuple(row) for row in elim.inverse),
         mat_rows=exactla.int_rows(mat),
-        inv_rows=None if elim.inverse is None else exactla.int_rows(elim.inverse),
+        pinv_rows=exactla.int_rows(elim.inverse or exactla.pseudo_inverse(mat)),
     )
 
 
@@ -239,21 +239,15 @@ class StdSolution:
 
 
 def coord_to_std(m: CoordMatrix) -> StdSolution:
-    """Invert the contraction; NotRepresentable when the system is inconsistent."""
+    """Least-norm standard components of m; NotRepresentable when none give m."""
     alg = m.alg
     n = alg.dim
     B = big_c(alg)
     rhs = [m.mat[j][i] for j in range(n) for i in range(n)]
-    if B.inv is not None:
-        x = exactla.rows_vec(B.inv_rows, rhs)
-        unique = True
-    else:
-        x = exactla.min_norm_solution([list(r) for r in B.mat], rhs)
-        if x is None:
-            raise NotRepresentable(
-                "coordinate matrix lies outside the representable subspace"
-            )
-        unique = False
+    x = exactla.rows_vec(B.pinv_rows, rhs)
+    unique = B.rank == n * n
+    if not unique and exactla.rows_vec(B.mat_rows, x) != rhs:
+        raise NotRepresentable("coordinate matrix lies outside the representable subspace")
     return StdSolution(StdComponents(alg, _square(x, n)), unique)
 
 
@@ -300,20 +294,20 @@ class KernelInfo:
 def kernel_rank(m: CoordMatrix) -> KernelInfo:
     """Rank of the coordinate matrix, n less its kernel's dimension, and a
     kernel witness when singular: both from one elimination."""
-    basis = exactla.nullspace([list(r) for r in m.mat])
+    basis = exactla.nullspace(m.mat)
     witness = m.alg.element(basis[0]) if basis else None
     return KernelInfo(rank=m.alg.dim - len(basis), is_singular=bool(basis), kernel_vector=witness)
 
 
 def change_basis(m: CoordMatrix, A: Sequence[Sequence[ScalarLike]] | CoordMatrix) -> CoordMatrix:
     """Coordinate matrix in the basis e'_i = e_j A^j_i: f' = A^{-1} f A."""
-    rows = [list(r) for r in (A.mat if isinstance(A, CoordMatrix) else _grid(A))]
+    if not isinstance(A, CoordMatrix):
+        A = CoordMatrix.from_rows(m.alg, A)
     try:
-        Ainv = exactla.inverse(rows)
+        Ainv = exactla.inverse(A.mat)
     except Singular:
         raise Singular("basis transformation must be invertible") from None
-    prod = exactla.mat_mul(exactla.mat_mul(Ainv, [list(r) for r in m.mat]), rows)
-    return CoordMatrix(m.alg, tuple(tuple(row) for row in prod))
+    return CoordMatrix.from_rows(A.alg, Ainv) @ m @ A
 
 
 @dataclass(frozen=True, eq=False)

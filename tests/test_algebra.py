@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -33,6 +34,7 @@ from ncdr.errors import (
     ZeroParameter,
 )
 from ncdr.linmap import CoordMatrix, embed_matrix
+from ncdr.verify import check_negative_control
 
 H = QUATERNIONS
 ONE, I, J, K = (H.basis(n) for n in range(4))
@@ -108,7 +110,10 @@ def test_corrupted_table_is_rejected():
 
 
 def dual_extension(D: AlgebraSpec) -> AlgebraSpec:
-    """D[eps] = D (x) R[eps]/(eps^2) on the basis e_0..e_{n-1}, eps e_0..eps e_{n-1}."""
+    """D[eps] = D (x) R[eps]/(eps^2) on the basis e_0..e_{n-1}, eps e_0..eps e_{n-1}.
+
+    It has no conjugation: no signs make x * conj(x) a scalar once eps^2 = 0.
+    """
     n = D.dim
     C = [[[Fraction(0)] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
     for k in range(n):
@@ -116,12 +121,10 @@ def dual_extension(D: AlgebraSpec) -> AlgebraSpec:
             for p in range(n):
                 c = D.structure[k][l][p]
                 C[k][l][p] = C[k][n + l][n + p] = C[n + k][l][n + p] = c
-    signs = D.conj_signs and D.conj_signs * 2
     return AlgebraSpec(
         name=f"{D.name}[eps]",
         dim=2 * n,
         structure=tuple(tuple(tuple(v) for v in row) for row in C),
-        conj_signs=signs,
     )
 
 
@@ -136,6 +139,9 @@ def test_dual_extensions_validate():
     x, a = H.element([1, 2, -1, 3]), H.element([Fraction(1, 2), 0, 4, -1])
     y = mul(dual.element(x.coords + a.coords), dual.element(x.coords + a.coords))
     assert y.coords == mul(x, x).coords + (mul(x, a) + mul(a, x)).coords
+    # H's signs doubled would make (e1 + eps e1) conj(e1 + eps e1) = 1 + 2 eps.
+    with pytest.raises(AxiomViolated, match="scalar"):
+        AlgebraSpec(name="H[eps]", dim=8, structure=dual.structure, conj_signs=H.conj_signs * 2)
     # One corrupted entry, eps i * j = 2 eps k instead of eps k, breaks them.
     for alg in (dual, hyper):
         C = [[list(v) for v in row] for row in alg.structure]
@@ -309,6 +315,29 @@ def test_conj_signs_must_be_units():
     with pytest.raises(AxiomViolated):
         AlgebraSpec(name="C", dim=2, structure=COMPLEX.structure, conj_signs=(1, 0))
     assert AlgebraSpec.from_json(_corrupt(conj_signs=[1, -1])) == COMPLEX
+
+
+def test_conj_signs_must_give_a_scalar_norm():
+    # With signs (1, 1), x conj(x) for x = 2+i would be 3+4i: inverse(2+i)
+    # came out as 2/3+1/3i, and (2+i)(2/3+1/3i) = 1+4/3i.
+    with pytest.raises(AxiomViolated, match="scalar"):
+        AlgebraSpec.from_json(_corrupt(conj_signs=[1, 1]))
+    with pytest.raises(AxiomViolated, match="scalar"):
+        AlgebraSpec(name="H", dim=4, structure=H.structure, conj_signs=(1, -1, 1, -1))
+    # Split and non-split E(a, b) keep their signs and scalar norm.
+    for a, b in [(-1, -1), (1, 1), (-1, 1), (Fraction(-3, 2), Fraction(5, 7)), (2, -5)]:
+        E = make_quaternion_algebra(a, b)
+        x = E.element([2, 1, -3, Fraction(1, 2)])
+        assert mul(x, conj(x)) == E.scalar(norm_sq(x))
+    assert norm_sq(COMPLEX.element([2, 1])) == 5
+    # Verify check 15's corrupted table fails associativity before the norm check.
+    C = [[list(v) for v in row] for row in H.structure]
+    C[1][2][3] = Fraction(2)
+    with pytest.raises(AxiomViolated, match="associativity"):
+        AlgebraSpec(name="corrupted", dim=4, structure=tuple(tuple(map(tuple, r)) for r in C),
+                    conj_signs=H.conj_signs)
+    assert check_negative_control(random.Random(0)) == (
+        True, "corrupted table rejected at construction")
 
 
 def test_equal_elements_hash_equal():

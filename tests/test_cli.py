@@ -42,7 +42,9 @@ def test_algebra_check_rejects_corrupted_file(tmp_path, capsys):
     assert err.startswith("AxiomViolated: ")
 
 
-@pytest.mark.parametrize("signs, error", [([1, 2.7], "ParseError"), ([1, 2], "AxiomViolated")])
+@pytest.mark.parametrize(
+    "signs, error", [([1, 2.7], "ParseError"), ([1, 2], "AxiomViolated"), ([1, 1], "AxiomViolated")]
+)
 def test_algebra_check_rejects_bad_conj_signs(tmp_path, capsys, signs, error):
     from ncdr.algebra import COMPLEX
 

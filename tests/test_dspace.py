@@ -226,3 +226,11 @@ def test_from_json_rejects_malformed_documents(cls, text):
     wrong_size = text == "[[1,2]]" and cls in (StdComponents, CoordMatrix)
     with pytest.raises(DimensionMismatch if wrong_size else ParseError):
         cls.from_json(H, text)
+
+
+def test_component_map_rejects_ragged_rows():
+    with pytest.raises(DimensionMismatch):
+        ComponentMap.from_json(H, "[[[]], []]")
+    with pytest.raises(DimensionMismatch):
+        ComponentMap(H, (((),), ((), ())))
+    assert ComponentMap.from_json(H, "[[[], []], [[], []]]").cols == 2

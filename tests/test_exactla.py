@@ -4,7 +4,8 @@ The single fraction-free routine behind rref, rank and det is checked against
 the two eliminations it replaced, kept here as references: Gauss-Jordan on
 Fractions for rref, and Bareiss below the pivot for rank and det.  The
 integer mat_mul and mat_vec are checked against the Fraction loops they
-replaced, kept here the same way.
+replaced, kept here the same way.  pseudo_inverse is checked against the four
+Penrose conditions, and every routine must give equal results on tuple rows.
 """
 
 import random
@@ -345,3 +346,51 @@ def test_mat_mul_mixed_denominators_and_zero_lines():
     assert exactla.mat_vec(A, [Fraction(1, 5), Fraction(7), Fraction(3, 10)]) == [
         Fraction(1, 10) - Fraction(1, 5), 0]
     assert exactla.mat_mul([[Fraction(2, 3)]], [[Fraction(3, 4)]]) == [[Fraction(1, 2)]]
+
+
+def transpose(M):
+    return [list(col) for col in zip(*M)]
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_pseudo_inverse_satisfies_the_penrose_conditions(M):
+    X = exactla.pseudo_inverse(M)
+    assert (len(X), len(X[0])) == (len(M[0]), len(M))
+    assert all(type(v) is Fraction for row in X for v in row)
+    MX, XM = exactla.mat_mul(M, X), exactla.mat_mul(X, M)
+    assert exactla.mat_mul(MX, M) == M
+    assert exactla.mat_mul(XM, X) == X
+    assert transpose(MX) == MX
+    assert transpose(XM) == XM
+
+
+def test_pseudo_inverse_known_values():
+    assert exactla.pseudo_inverse(frac_matrix([[0, 0, 0], [0, 0, 0]])) == [[0, 0]] * 3
+    assert exactla.pseudo_inverse(frac_matrix([[1, 1]])) == [[Fraction(1, 2)], [Fraction(1, 2)]]
+    assert exactla.pseudo_inverse(frac_matrix([[2, 0], [0, 4]])) == [
+        [Fraction(1, 2), 0], [0, Fraction(1, 4)]]
+
+
+@given(matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_tuple_rows_give_the_same_results(M, data):
+    T = tuple(map(tuple, M))
+    b = data.draw(st.lists(entries, min_size=len(M), max_size=len(M)))
+    for f in (exactla.rref, exactla.rank, exactla.nullspace, exactla.pseudo_inverse):
+        assert f(T) == f(M)
+    for rhs in (b, exactla.mat_vec(M, [Fraction(1)] * len(M[0]))):
+        assert exactla.solve(T, tuple(rhs)) == exactla.solve(M, rhs)
+        assert exactla.min_norm_solution(T, tuple(rhs)) == exactla.min_norm_solution(M, rhs)
+    assert exactla.mat_mul(T, tuple(zip(*T))) == exactla.mat_mul(M, transpose(M))
+    S = T[: len(T[0])] if len(T) >= len(T[0]) else tuple(row[: len(T)] for row in T)
+    square = [list(row) for row in S]
+    assert exactla.det(S) == exactla.det(square)
+    assert exactla.eliminate_square(S) == exactla.eliminate_square(square)
+    try:
+        want = exactla.inverse(square)
+    except Singular:
+        with pytest.raises(Singular):
+            exactla.inverse(S)
+    else:
+        assert exactla.inverse(S) == want

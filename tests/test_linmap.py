@@ -9,7 +9,7 @@ import pytest
 from ncdr import closed_forms, exactla
 from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra, mul
 from ncdr.dspace import ComponentMap, DVector, apply_component_map, component_sum_to_std
-from ncdr.errors import DimensionMismatch, NotRepresentable, Singular
+from ncdr.errors import AlgebraMismatch, DimensionMismatch, NotRepresentable, Singular
 from ncdr.linmap import (
     CoordMatrix,
     PolyCoords,
@@ -278,6 +278,22 @@ def test_change_basis():
     assert back == m
     with pytest.raises(Singular):
         change_basis(m, [[Fraction(0)] * 4 for _ in range(4)])
+    assert change_basis(m, CoordMatrix.from_rows(H, A)) == moved
+
+
+@pytest.mark.parametrize(
+    "A, error",
+    [
+        ([[1, 0], [0, 1]], DimensionMismatch),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], DimensionMismatch),
+        ([], DimensionMismatch),
+        (CoordMatrix.identity(COMPLEX), AlgebraMismatch),
+    ],
+    ids=["2x2", "4x3", "empty", "other-algebra"],
+)
+def test_change_basis_rejects_wrong_shapes_and_algebras(A, error):
+    with pytest.raises(error):
+        change_basis(CoordMatrix.identity(H), A)
 
 
 def test_polyform_coords_product_map():
