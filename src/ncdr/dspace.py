@@ -161,11 +161,6 @@ def dmatrix_inverse(A: DMatrix) -> DMatrix:
     return B
 
 
-def dual_basis(A: DMatrix) -> DMatrix:
-    """The coordinate matrix B of the dual basis: B @ A is the identity."""
-    return dmatrix_inverse(A)
-
-
 @dataclass(frozen=True)
 class ComponentMap:
     """A linear map between D-vector spaces as two-sided component sums.

@@ -64,9 +64,10 @@ class DegreeTooLarge(NcdrError):
 class NonConvergent(NcdrError):
     """Numeric derivative extrapolation did not settle within tolerance.
 
-    error is the disagreement that failed the check and scale the magnitude
-    it was judged against; step is the base difference step, where the
-    failing check ran on one.
+    error is the disagreement that failed the check, an estimate of the
+    extrapolation error and not a bound on it, and scale the magnitude it was
+    judged against; step is the base difference step, where the failing
+    check ran on one.
     """
 
     def __init__(

@@ -95,8 +95,10 @@ def _richardson(
 ) -> tuple[list[float], float]:
     """Extrapolate a central-difference sample with error series in t^2.
 
-    The error estimate is the final Neville correction, which bounds the
-    remaining error one extrapolation order above the returned value's.
+    The error estimate is the final Neville correction, the change the last
+    extrapolation order made.  It estimates the remaining error and does not
+    bound it: rounding in f is not in it, and for inverse over H the true
+    error exceeded it at most of 2,000 dyadic points, by a median of 60x.
     Unless it is finite and at most tol times the scale max(1, |value|),
     NonConvergent is raised with message formatted from error and scale.
     """
@@ -151,7 +153,8 @@ def _directional(
 
 
 def gateaux_with_error(f: MapEvaluator, x: Point, a: Point) -> tuple[Element, float]:
-    """Directional derivative and its extrapolation error estimate."""
+    """Directional derivative and its extrapolation error estimate, which is
+    an estimate of the error and not a bound on it (see _richardson)."""
     value, err = _directional(f, _float_point(f, x), _float_point(f, a))
     return _float_element(f.alg, tuple(value)), err
 

@@ -21,29 +21,36 @@ fillings as a tree, so fillings that share a prefix share its constant
 products; TaylorExpansion.reconstruct substitutes h = x - y0 into all its
 terms at once, so their words merge once.
 
-Formal words mixing constants and variables live in WordPoly.  Their formal
-canonical form (fused constants, folded central scalars, sorted terms) is a
-fast pre-check only; equality of word polynomials is extensional, decided
-exactly by evaluating each homogeneous part of the difference on principal
-lattices of its symbols' degrees, the basis for degree 1.  Constants are
-fused once, as a word is built or filled in.  Sums, rename, derivative and
-scaling by a rational combine words that are already canonical or change
-their variable names or scalars, so they merge equal words and sort without
-a second fusion pass; two or more terms that are a single constant are
-summed into one.
+Formal words mixing constants and variables live in WordPoly.  Their
+factors are interned: Var(name) and Const(value) return the one live object
+for a name or an exact value (float constants are kept apart), so words hash
+and compare by the identity of their factors, and rename and derivative
+replace factors by identity.  Their formal canonical form (fused constants,
+folded central scalars, sorted terms) is a fast pre-check only; equality of
+word polynomials is extensional, decided exactly by evaluating each
+homogeneous part of the difference on principal lattices of its symbols'
+degrees, the basis for degree 1, with one stack of prefix products per
+lattice point.  Constants are fused once, as a word is built or filled in.
+Sums, rename, derivative and scaling by a rational combine words that are
+already canonical or change their variable names or scalars, so they merge
+equal words and sort without a second fusion pass; two or more terms that
+are a single constant are summed into one.
 sym_derivative and taylor_poly raise DegreeTooLarge beyond
 MAX_DERIVATIVE_WORDS and MAX_TAYLOR_WORDS, a product of word polynomials
-beyond MAX_PRODUCT_WORDS, and extensional_equal beyond _MAX_EVAL_WORDS.
+beyond MAX_PRODUCT_WORDS, and extensional_equal beyond _MAX_EVAL_PRODUCTS
+products.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
+import weakref
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 from .algebra import AlgebraSpec, Element, _exact, mul
@@ -66,33 +73,90 @@ MAX_TAYLOR_WORDS = 2**12
 #: Most words a product of word polynomials builds: the product of their term
 #: counts.  A power of a sum reaches it first: (x+i+j)^17 in H builds 8,360.
 MAX_PRODUCT_WORDS = 10_000
-# Most words extensional_equal evaluates, summed over its bindings: (conj x)^4
-# against conj(x^4) in H evaluates 8,960 in about 0.3 s.
-_MAX_EVAL_WORDS = 30_000
+# Most products extensional_equal multiplies, summed over its lattice points:
+# (conj x)^5 against conj(x^5) in H takes 176,456 in about a second.
+_MAX_EVAL_PRODUCTS = 200_000
+
+# The live factors, one object per value; a lock makes the miss path atomic.
+_VARS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_CONSTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+def _intern(cls: type, table: weakref.WeakValueDictionary, key: object, value: object):
+    """The miss path: the live object for key, made under the lock if none is."""
+    with _INTERN_LOCK:
+        obj = table.get(key)
+        if obj is None:
+            obj = object.__new__(cls)
+            _setattr(obj, cls._field, value)
+            table[key] = obj
+    return obj
 
-    @cached_property
-    def _key(self) -> tuple:
-        # Sort key in canonical words, cached since words are sorted often.
+
+class _Factor:
+    """A frozen, interned factor: equal values are one object, so factors
+    hash and compare by identity, and copies and unpickling re-intern.
+    _key sorts canonical words, variables by name and then constants by
+    coordinates; it is filled on first read, as a factor may never be sorted."""
+
+    __slots__ = ()
+    _field: str
+
+    def __getattr__(self, name: str) -> tuple:
+        if name != "_key":
+            raise AttributeError(name)
+        key = self._make_key()
+        _setattr(self, "_key", key)
+        return key
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (getattr(self, self._field),)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._field}={getattr(self, self._field)!r})"
+
+
+class Var(_Factor):
+    """A variable of word polynomials, one object per name."""
+
+    __slots__ = ("name", "_key", "__weakref__")
+    _field = "name"
+
+    def __new__(cls, name: str) -> "Var":
+        return _VARS.get(name) or _intern(cls, _VARS, name, name)
+
+    def _make_key(self) -> tuple:
         return (0, self.name)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Element
+class Const(_Factor):
+    """A constant factor, one object per exact value or per float value."""
 
-    @cached_property
-    def _key(self) -> tuple:
+    __slots__ = ("value", "_key", "__weakref__")
+    _field = "value"
+
+    def __new__(cls, value: Element) -> "Const":
+        # Float constants are keyed apart, so one never stands for an exact one.
+        ints = value._ints
+        key = (value._alg, ints) if ints is not None else (value._alg, None, value.coords)
+        return _CONSTS.get(key) or _intern(cls, _CONSTS, key, value)
+
+    def _make_key(self) -> tuple:
         return (1, self.value.coords)
 
 
 Factor = Union[Var, Const]
 Word = tuple[Factor, ...]
 Term = tuple[Fraction, Word]
+_factor_key = attrgetter("_key")
 
 
 def _is_central_scalar(e: Element) -> bool:
@@ -146,7 +210,7 @@ def _collect(raw: Iterable[Term]) -> tuple[Term, ...]:
         consts = WordPoly.constant(sum(values[1:], values[0])).terms
     collected.update((w, c) for c, w in consts)
     terms = [(c, w) for w, c in collected.items() if c]
-    terms.sort(key=lambda t: tuple(f._key for f in t[1]))
+    terms.sort(key=lambda t: tuple(map(_factor_key, t[1])))
     return tuple(terms)
 
 
@@ -256,11 +320,8 @@ class WordPoly:
     def rename(self, mapping: Mapping[str, str]) -> "WordPoly":
         # Renaming leaves every word canonical, so equal words only need
         # merging, not the constant fusion of build.
-        new = {old: Var(name) for old, name in mapping.items()}
-        raw = [
-            (c, tuple(new.get(f.name, f) if isinstance(f, Var) else f for f in w))
-            for c, w in self.terms
-        ]
+        new = {Var(old): Var(name) for old, name in mapping.items()}
+        raw = [(c, tuple(map(new.get, w, w))) for c, w in self.terms]
         return WordPoly(self.alg, _collect(raw))
 
     def substitute(self, name: str, replacement: "WordPoly") -> "WordPoly":
@@ -272,11 +333,12 @@ class WordPoly:
         """
         self._check_same(replacement)
         alg = self.alg
+        x = Var(name)
         raw: list[Term] = []
         for coeff, word in self.terms:
             segments: list[list[Factor]] = [[]]
             for f in word:
-                if isinstance(f, Var) and f.name == name:
+                if f is x:
                     segments.append([])
                 else:
                     segments[-1].append(f)
@@ -305,11 +367,11 @@ class WordPoly:
         A variable replaced by a variable leaves the words canonical, so the
         result is merged without the constant fusion of build.
         """
-        new = (Var(new_symbol),)
+        x, new = Var(name), (Var(new_symbol),)
         raw: list[Term] = []
         for coeff, word in self.terms:
             for pos, f in enumerate(word):
-                if isinstance(f, Var) and f.name == name:
+                if f is x:
                     raw.append((coeff, word[:pos] + new + word[pos + 1 :]))
         return WordPoly(self.alg, _collect(raw))
 
@@ -343,6 +405,40 @@ def word_eval(w: WordPoly, bindings: Mapping[str, Element]) -> Element:
     return acc
 
 
+def _prefix_plan(terms: Iterable[Term]) -> list[tuple[Fraction, int, Word]]:
+    """Each word as (coeff, s, rest): it shares its first s factors with the
+    word before it, and rest follows them."""
+    plan = []
+    prev: Word = ()
+    for coeff, word in terms:
+        s = 0
+        for f, g in zip(prev, word):
+            if f is not g:
+                break
+            s += 1
+        plan.append((coeff, s, word[s:]))
+        prev = word
+    return plan
+
+
+def _eval_plan(
+    alg: AlgebraSpec, plan: list[tuple[Fraction, int, Word]], bindings: Mapping[str, Element]
+) -> Element:
+    """The sum of the plan's words at the bindings, from one stack of prefix
+    products: a word reuses the product of the prefix it shares with the word
+    before it.  Words are summed per coefficient, and each sum scaled once."""
+    sums: dict[Fraction, Element] = {}
+    stack: list[Element] = []
+    for coeff, shared, rest in plan:
+        del stack[shared:]
+        for f in rest:
+            v = f.value if f.__class__ is Const else bindings[f.name]
+            stack.append(mul(stack[-1], v) if stack else v)
+        prev = sums.get(coeff)
+        sums[coeff] = stack[-1] if prev is None else prev + stack[-1]
+    return sum((v * c for c, v in sums.items()), alg.zero)
+
+
 def extensional_equal(w1: WordPoly, w2: WordPoly) -> bool:
     """Equality as maps on the real coordinates, decided exactly.
 
@@ -351,7 +447,9 @@ def extensional_equal(w1: WordPoly, w2: WordPoly) -> bool:
     lattice of points sum a_i e_i (integers a_i >= 0 summing to m_s), which is
     unisolvent for maps of that degree (Chung & Yao, SIAM J. Numer. Anal. 14,
     1977).  The highest-degree symbol varies slowest, so an unequal pair meets
-    a witness early.  DegreeTooLarge past _MAX_EVAL_WORDS words evaluated.
+    a witness early.  Words in canonical order share prefixes with their
+    neighbours, so each point evaluates a group as one walk of prefix
+    products.  DegreeTooLarge past _MAX_EVAL_PRODUCTS products.
     """
     diff = w1 - w2
     if diff.is_zero():
@@ -362,20 +460,22 @@ def extensional_equal(w1: WordPoly, w2: WordPoly) -> bool:
         degrees = Counter(f.name for f in term[1] if isinstance(f, Var))
         key = tuple(sorted(degrees.items(), key=lambda sm: (-sm[1], sm[0])))
         groups.setdefault(key, []).append(term)
-    evaluated = 0
+    products = 0
     for degrees, terms in groups.items():
-        group = WordPoly(alg, tuple(terms))
+        plan = _prefix_plan(terms)
+        # The first factor of a word that shares nothing is no product.
+        cost = sum(len(rest) - (not shared) for _, shared, rest in plan)
         lattices = [
             [_exact(alg, tuple(map(a.count, range(alg.dim))), 1)
              for a in itertools.combinations_with_replacement(range(alg.dim), m)]
             for _, m in degrees
         ]
         for point in itertools.product(*lattices):
-            evaluated += len(terms)
-            if evaluated > _MAX_EVAL_WORDS:
-                raise DegreeTooLarge(f"equality needs more than {_MAX_EVAL_WORDS} word evaluations")
+            products += cost
+            if products > _MAX_EVAL_PRODUCTS:
+                raise DegreeTooLarge(f"equality needs more than {_MAX_EVAL_PRODUCTS} products")
             bindings = {s: v for (s, _), v in zip(degrees, point)}
-            if not word_eval(group, bindings).is_zero():
+            if not _eval_plan(alg, plan, bindings).is_zero():
                 return False
     return True
 

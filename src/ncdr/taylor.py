@@ -41,9 +41,9 @@ class OdeRhs:
     def __post_init__(self) -> None:
         if not self.poly.variables() <= {"x", "h"}:
             raise ParseError("right-hand side may use only the symbols x and h")
+        h = Var("h")
         for _, word in self.poly.terms:
-            h_count = sum(1 for f in word if isinstance(f, Var) and f.name == "h")
-            if h_count != 1:
+            if word.count(h) != 1:
                 raise ParseError("each word must contain the direction h exactly once")
 
 
@@ -164,21 +164,6 @@ def exp_derivative_diagonal(alg: AlgebraSpec, n: int) -> WordPoly:
         )
         raw.append((Fraction(1, 2**n), word))
     return WordPoly.build(alg, raw)
-
-
-def exp_flow_defect(alg: AlgebraSpec, k: int) -> WordPoly:
-    """Degree-(k-1) mismatch between the series derivative and (yh + hy)/2.
-
-    Returns d(x^k/k!)(h) - (x^{k-1}h + h x^{k-1}) / (2 (k-1)!) as a word
-    polynomial; zero for k <= 2, a nonzero x-h-x cross term from k = 3 on.
-    """
-    if k < 1:
-        raise RangeError("term index must be positive")
-    x, h = WordPoly.variable(alg, "x"), WordPoly.variable(alg, "h")
-    series_part = Fraction(1, math.factorial(k)) * (x**k).derivative("x", "h")
-    power = x ** (k - 1)
-    ode_part = Fraction(1, 2 * math.factorial(k - 1)) * (power * h + h * power)
-    return series_part - ode_part
 
 
 def euler_check(f: MapEvaluator, k: int, seed: int = 0) -> float:

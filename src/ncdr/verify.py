@@ -31,7 +31,7 @@ from .algebra import (
     norm_float,
     norm_sq,
 )
-from .dspace import DMatrix, dual_basis
+from .dspace import DMatrix, dmatrix_inverse
 from .errors import AxiomViolated, NoSolution, NotRepresentable, RangeError, Singular
 from .gateaux import (
     MapEvaluator,
@@ -464,7 +464,7 @@ def check_dual_basis_twin(rng: random.Random) -> tuple[bool, str]:
             )
         )
         try:
-            B = dual_basis(A)
+            B = dmatrix_inverse(A)
         except Singular:
             continue
         count += 1

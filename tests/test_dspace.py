@@ -14,7 +14,6 @@ from ncdr.dspace import (
     apply_component_map,
     compose_component_maps,
     dmatrix_inverse,
-    dual_basis,
     lin_comb,
     shift_components,
 )
@@ -105,11 +104,12 @@ def test_wrong_inverse_is_not_a_quaternion_block(monkeypatch):
 
 
 def test_dual_basis():
-    assert dual_basis(DMatrix.identity(H, 3)) == DMatrix.identity(H, 3)
-    assert dual_basis(DMatrix.diagonal([J, K])) == DMatrix.diagonal([-J, -K])
+    # The dual basis of A's rows is the coordinate matrix B with B @ A = 1.
+    assert dmatrix_inverse(DMatrix.identity(H, 3)) == DMatrix.identity(H, 3)
+    assert dmatrix_inverse(DMatrix.diagonal([J, K])) == DMatrix.diagonal([-J, -K])
     rng = random.Random(23)
     A, _ = random_invertible_matrix(rng, 2)
-    B = dual_basis(A)
+    B = dmatrix_inverse(A)
     assert (B @ A) == DMatrix.identity(H, 2)
 
 

@@ -131,9 +131,9 @@ def test_extensional_guard(monkeypatch):
     assert not extensional_equal(w, WordPoly.zero(H))
     split = WordPoly.constant(ONE) * w + WordPoly.constant(I) * w
     assert extensional_equal(WordPoly.constant(ONE + I) * w, split)
-    # The guard counts the words evaluated as the bindings run: an equal pair
+    # The guard counts the products taken as the bindings run: an equal pair
     # past it raises, an unequal one returns at its first witness.
-    monkeypatch.setattr(ncpoly, "_MAX_EVAL_WORDS", 100)
+    monkeypatch.setattr(ncpoly, "_MAX_EVAL_PRODUCTS", 100)
     with pytest.raises(DegreeTooLarge):
         extensional_equal(WordPoly.constant(ONE + I) * w, split)
     assert not extensional_equal(w, WordPoly.zero(H))
@@ -178,10 +178,27 @@ def test_split_equality_evaluates_sixteen_bindings(monkeypatch):
     ])
     assert len(parts.terms) > 1
     calls = []
-    real = ncpoly.word_eval
-    monkeypatch.setattr(ncpoly, "word_eval", lambda w, b: calls.append(b) or real(w, b))
+    real = ncpoly._eval_plan
+    monkeypatch.setattr(ncpoly, "_eval_plan", lambda a, p, b: calls.append(b) or real(a, p, b))
     assert extensional_equal(w1, parts + second)
     assert calls == [{"h": H.basis(i), "x": H.basis(j)} for i in range(4) for j in range(4)]
+
+
+def conj_form(w):
+    """-(1/2)(w + iwi + jwj + kwk), conjugation applied to w's values."""
+    total = w
+    for u in (I, J, K):
+        total = total + WordPoly.constant(u) * w * WordPoly.constant(u)
+    return Fraction(-1, 2) * total
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_conj_power_is_decided_within_the_guard(n):
+    # One group of 4^n words; at n = 5 its 56 lattice points take 176,456
+    # products, inside the guard.
+    x = wp_var("x")
+    assert extensional_equal(conj_form(x) ** n, conj_form(x**n))
+    assert not extensional_equal(conj_form(x) ** n, conj_form(x) ** (n - 1) * x)
 
 
 @pytest.mark.parametrize("op", [
@@ -467,6 +484,20 @@ def test_word_poly_sums_merge_like_build(pair):
     assert w1 + w2 == WordPoly.build(alg, w1.terms + w2.terms)
     assert w1 - w2 == WordPoly.build(alg, w1.terms + tuple((-c, w) for c, w in w2.terms))
     assert (w1 - w1).is_zero()
+
+
+@given(word_poly_pairs())
+@settings(max_examples=100, deadline=None)
+def test_prefix_shared_evaluation_matches_word_eval(pair):
+    w1, w2 = pair
+    w = w1 * w2
+    rng = random.Random(len(w.terms))
+    alg = w.alg
+    for _ in range(2):
+        at = {s: alg.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                              for _ in range(alg.dim)]) for s in ("x", "h")}
+        plan = ncpoly._prefix_plan(w.terms)
+        assert ncpoly._eval_plan(alg, plan, at) == word_eval(w, at)
 
 
 @st.composite

@@ -23,7 +23,6 @@ from ncdr.taylor import (
     exp,
     exp_additivity_gap,
     exp_derivative_diagonal,
-    exp_flow_defect,
     exp_permutations,
     solve_ode_taylor,
 )
@@ -86,10 +85,10 @@ def test_ode_over_c_with_five_symbols():
     assert sol.solution.to_words().terms == (WordPoly.variable(C, "x") ** 5).terms
 
 
-def _count_word_evals(monkeypatch):
+def _count_lattice_points(monkeypatch):
     calls = []
-    real = ncpoly.word_eval
-    monkeypatch.setattr(ncpoly, "word_eval", lambda w, b: calls.append(b) or real(w, b))
+    real = ncpoly._eval_plan
+    monkeypatch.setattr(ncpoly, "_eval_plan", lambda a, p, b: calls.append(b) or real(a, p, b))
     return calls
 
 
@@ -97,7 +96,7 @@ def test_obstruction_costs_one_order(monkeypatch):
     # h x^32 is obstructed, so dP = F fails; the x lattice of degree 32
     # varies slowest, so its first points meet a witness among the h bindings.
     rhs = OdeRhs(parse_word_poly(H, "h*x^32"))
-    calls = _count_word_evals(monkeypatch)
+    calls = _count_lattice_points(monkeypatch)
     with pytest.raises(NoSolution):
         solve_ode_taylor(rhs, H.zero, H.zero)
     assert 0 < len(calls) <= 16
@@ -107,7 +106,7 @@ def test_symmetric_rhs_is_checked_once(monkeypatch):
     # dP = F alone decides solvability: a symmetric F over C costs only the
     # lattice of dP - F, 33 x points by 2 h points.
     rhs = OdeRhs(parse_word_poly(COMPLEX, "33*h*x^32"))
-    calls = _count_word_evals(monkeypatch)
+    calls = _count_lattice_points(monkeypatch)
     solve_ode_taylor(rhs, COMPLEX.zero, COMPLEX.zero)
     assert len(calls) <= 100
 
@@ -252,14 +251,21 @@ def test_exp_derivative_diagonal_is_h_power():
 
 
 def test_exp_flow_defect():
-    assert exp_flow_defect(H, 1).is_zero()
-    assert exp_flow_defect(H, 2).is_zero()
-    defect = exp_flow_defect(H, 3)
-    assert not defect.is_zero()
-    # The x h x cross term survives with weight 1/6.
+    # d(x^k/k!)(h) against (x^(k-1) h + h x^(k-1)) / (2 (k-1)!): equal for
+    # k <= 2, and from k = 3 on an x h x cross term survives.
     x, h = wp("x"), wp("h")
+
+    def defect(k):
+        series = Fraction(1, math.factorial(k)) * (x**k).derivative("x", "h")
+        power = x ** (k - 1)
+        return series - Fraction(1, 2 * math.factorial(k - 1)) * (power * h + h * power)
+
+    assert defect(1).is_zero()
+    assert defect(2).is_zero()
+    assert not defect(3).is_zero()
+    # The x h x cross term survives with weight 1/6.
     xhx = (Fraction(1, 6) * (x * h * x)).terms[0]
-    assert xhx in defect.terms
+    assert xhx in defect(3).terms
 
 
 def test_euler_checks():
