@@ -21,6 +21,7 @@ from .errors import Singular
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+IntRows = tuple[tuple[tuple[tuple[int, int], ...], int], ...]
 
 
 def identity(n: int) -> Matrix:
@@ -39,12 +40,14 @@ def numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def int_rows(A: Matrix) -> list[tuple[list[tuple[int, int]], int]]:
-    """Each row of A as its nonzero (column, integer numerator) pairs and its lcm."""
-    return [([(k, a) for k, a in enumerate(nums) if a], d) for nums, d in map(numerators, A)]
+def int_rows(A: Matrix) -> IntRows:
+    """Each row of A as its nonzero (column, integer numerator) pairs and its
+    lcm, in tuples, so rows held in a cache cannot be changed."""
+    rows = map(numerators, A)
+    return tuple([(tuple([(k, a) for k, a in enumerate(nums) if a]), d) for nums, d in rows])
 
 
-def _dot_rows(rows: list, cols: list[tuple[list[int], int]]) -> Matrix:
+def _dot_rows(rows: IntRows, cols: list[tuple[list[int], int]]) -> Matrix:
     """Integer rows times columns given as numerators(): per entry one integer
     dot product over the row's nonzero terms, over the product of the denominators."""
     return [
@@ -62,7 +65,7 @@ def mat_vec(A: Matrix, v: Vector) -> Vector:
     return rows_vec(int_rows(A), v)
 
 
-def rows_vec(rows: list, v: Vector) -> Vector:
+def rows_vec(rows: IntRows, v: Vector) -> Vector:
     """mat_vec over rows already converted by int_rows."""
     return [row[0] for row in _dot_rows(rows, [numerators(v)])]
 

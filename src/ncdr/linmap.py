@@ -21,12 +21,11 @@ element or float-entry matrix.  std_to_coord also takes float components
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,8 +161,8 @@ class BigC:
     det: Fraction
     zero_map_kernel: tuple[Grid, ...]
     inv: Grid | None
-    mat_rows: list = field(repr=False, compare=False)
-    pinv_rows: list = field(repr=False, compare=False)
+    mat_rows: exactla.IntRows = field(repr=False, compare=False)
+    pinv_rows: exactla.IntRows = field(repr=False, compare=False)
 
     @cached_property
     def float_mat(self) -> np.ndarray:
@@ -308,62 +307,3 @@ def change_basis(m: CoordMatrix, A: Sequence[Sequence[ScalarLike]] | CoordMatrix
     except Singular:
         raise Singular("basis transformation must be invertible") from None
     return CoordMatrix.from_rows(A.alg, Ainv) @ m @ A
-
-
-@dataclass(frozen=True, eq=False)
-class PolyCoords:
-    """Coordinates f(e_{i1}, ..., e_{im}) of a polylinear form of degree m."""
-
-    alg: AlgebraSpec
-    degree: int
-    coords: dict[tuple[int, ...], Element]
-
-    def evaluate(self, args: Sequence[Element]) -> Element:
-        """Reconstruct f(a_1..a_m) = sum a_1^{i1}...a_m^{im} f_{i1..im}."""
-        if len(args) != self.degree:
-            raise DimensionMismatch(f"expected {self.degree} arguments")
-        acc = self.alg.zero
-        n = self.alg.dim
-        for idx in itertools.product(range(n), repeat=self.degree):
-            w = Fraction(1)
-            for q, i in enumerate(idx):
-                w = w * args[q].coords[i]
-                if not w:
-                    break
-            if w:
-                acc = acc + w * self.coords[idx]
-        return acc
-
-
-def polyform_coords(
-    f: Callable[..., Element], alg: AlgebraSpec, degree: int
-) -> PolyCoords:
-    """Tabulate a polylinear map on every basis tuple."""
-    n = alg.dim
-    coords = {
-        idx: f(*(alg.basis(i) for i in idx))
-        for idx in itertools.product(range(n), repeat=degree)
-    }
-    return PolyCoords(alg=alg, degree=degree, coords=coords)
-
-
-Symmetry = Literal["symmetric", "skew", "neither"]
-
-
-def check_symmetry(p: PolyCoords) -> Symmetry:
-    """Classify by the adjacent transpositions of the index slots: they
-    generate all permutations, and each has sign -1."""
-    n = p.alg.dim
-    symmetric = True
-    skew = True
-    for q in range(p.degree - 1):
-        for idx in itertools.product(range(n), repeat=p.degree):
-            value = p.coords[idx]
-            other = p.coords[idx[:q] + (idx[q + 1], idx[q]) + idx[q + 2 :]]
-            if symmetric and value != other:
-                symmetric = False
-            if skew and value != -other:
-                skew = False
-            if not symmetric and not skew:
-                return "neither"
-    return "symmetric" if symmetric else "skew"

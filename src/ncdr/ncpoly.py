@@ -185,7 +185,8 @@ def _append(out: Word, scale: Fraction, f: Factor) -> tuple[Word, Fraction] | No
         return (out, scale) if scale else None
     if v.is_zero():
         return None
-    return out + (Const(v),), scale
+    # Unfused, f is already the interned factor of v.
+    return out + (f if v is f.value else Const(v),), scale
 
 
 def _collect(raw: Iterable[Term]) -> tuple[Term, ...]:
@@ -522,7 +523,8 @@ class NCPoly:
 
 
 def ncpoly_from_words(w: WordPoly, name: str = "x") -> NCPoly:
-    """Rebuild a one-variable polynomial from its word form."""
+    """Rebuild a one-variable polynomial from its word form: a canonical word
+    holds at most one constant, or none for the unit, between two variables."""
     monos = []
     alg = w.alg
     for coeff, word in w.terms:
@@ -535,7 +537,7 @@ def ncpoly_from_words(w: WordPoly, name: str = "x") -> NCPoly:
                 coeffs.append(current)
                 current = alg.one
             else:
-                current = mul(current, f.value)
+                current = f.value
         coeffs.append(current)
         coeffs[0] = coeff * coeffs[0]
         monos.append(Monomial(tuple(coeffs)))

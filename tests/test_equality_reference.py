@@ -1,6 +1,5 @@
-"""Exact extensional equality, the order-2 ODE obstruction and the adjacent
-transpositions of check_symmetry, against the code they replaced and against
-evaluation at random rational points.
+"""Exact extensional equality and the order-2 ODE obstruction, against the
+code they replaced and against evaluation at random rational points.
 
 extensional_equal evaluates each homogeneous part of a difference on the
 principal lattices of its degrees.  The oracle is Schwartz's lemma (J. ACM
@@ -10,14 +9,13 @@ must agree at random rational points, and an "unequal" one must differ at one
 of them.  The algebras are test_mul_kernels' strategy: H, C and E(a, b),
 split algebras included.
 
-Three references are the code this replaced.  The basis-binding equality is
+Two references are the code this replaced.  The basis-binding equality is
 sound only where every word of the difference holds every symbol exactly
-once, and must agree with the new code there.  check_symmetry over all index
-permutations must agree with the adjacent transpositions up to degree 4.  The
-ODE solver that checked every adjacent swap at every order and reassembled
-the Taylor polynomial about x0, run with the new equality, must raise the
-same error as the homotopy solver; otherwise the homotopy solver's solution
-must equal the reference's extensionally, in no more words.
+once, and must agree with the new code there.  The ODE solver that checked
+every adjacent swap at every order and reassembled the Taylor polynomial
+about x0, run with the new equality, must raise the same error as the
+homotopy solver; otherwise the homotopy solver's solution must equal the
+reference's extensionally, in no more words.
 """
 
 import itertools
@@ -29,9 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_mul_kernels import algebras
 
-from ncdr.algebra import COMPLEX, QUATERNIONS, mul
+from ncdr.algebra import mul
 from ncdr.errors import AlgebraMismatch, DegreeTooLarge, NcdrError, NoSolution
-from ncdr.linmap import PolyCoords, check_symmetry
 from ncdr.ncpoly import (
     Const,
     Var,
@@ -60,37 +57,6 @@ def reference_extensional_equal(w1, w2):
         if not word_eval(diff, bindings).is_zero():
             return False
     return True
-
-
-def _perm_sign(perm):
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
-
-
-def reference_check_symmetry(p):
-    """Brute force over all index permutations (degree <= 4)."""
-    if p.degree > 4:
-        raise DegreeTooLarge("symmetry check supports degree <= 4")
-    n = p.alg.dim
-    symmetric = True
-    skew = True
-    for perm in itertools.permutations(range(p.degree)):
-        sign = _perm_sign(perm)
-        for idx in itertools.product(range(n), repeat=p.degree):
-            permuted = tuple(idx[q] for q in perm)
-            value = p.coords[idx]
-            other = p.coords[permuted]
-            if symmetric and value != other:
-                symmetric = False
-            if skew and value != sign * other:
-                skew = False
-            if not symmetric and not skew:
-                return "neither"
-    return "symmetric" if symmetric else "skew"
 
 
 def _swap(k, i):
@@ -257,43 +223,6 @@ def multilinear_pairs(draw):
 def test_equality_matches_reference_on_multilinear_words(case):
     w1, w2 = case
     assert extensional_equal(w1, w2) == reference_extensional_equal(w1, w2)
-
-
-@st.composite
-def forms(draw):
-    """Polylinear coordinates of degree 0..4: symmetric, skew, neither, or
-    symmetric or skew with one coordinate changed."""
-    alg = draw(st.sampled_from([QUATERNIONS, COMPLEX]))
-    degree = draw(st.integers(0, 4))
-    kind = draw(st.sampled_from(["symmetric", "skew", "neither", "changed"]))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    value = {}
-
-    def element():
-        return alg.element([rng.randint(-2, 2) for _ in range(alg.dim)])
-
-    coords = {}
-    skew = kind == "skew" or (kind == "changed" and rng.random() < 0.5)
-    for idx in itertools.product(range(alg.dim), repeat=degree):
-        key = tuple(sorted(idx))
-        if kind == "neither":
-            coords[idx] = element()
-        elif skew:
-            distinct = len(set(idx)) == len(idx)
-            sign = _perm_sign(idx)
-            coords[idx] = sign * value.setdefault(key, element()) if distinct else alg.zero
-        else:
-            coords[idx] = value.setdefault(key, element())
-    if kind == "changed" and coords:
-        idx = rng.choice(sorted(coords))
-        coords[idx] = coords[idx] + alg.one
-    return PolyCoords(alg=alg, degree=degree, coords=coords)
-
-
-@given(forms())
-@settings(max_examples=200, deadline=None)
-def test_check_symmetry_matches_reference(p):
-    assert check_symmetry(p) == reference_check_symmetry(p)
 
 
 @st.composite

@@ -1,5 +1,5 @@
-"""Value types are frozen, word factors are interned and the numeric engine
-is reentrant."""
+"""Value types are frozen, the cached big_c holds nothing mutable, word
+factors are interned and the numeric engine is reentrant."""
 
 import copy
 import dataclasses
@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 
 from ncdr import maps
-from ncdr.algebra import QUATERNIONS, mul
+from ncdr.algebra import COMPLEX, QUATERNIONS, mul
 from ncdr.gateaux import gateaux
-from ncdr.linmap import StdComponents
+from ncdr.linmap import StdComponents, big_c
 from ncdr.ncpoly import Const, Var
 from ncdr.verify import run_check
 
@@ -29,6 +29,25 @@ def test_value_types_reject_mutation():
         H.name = "other"
     with pytest.raises(dataclasses.FrozenInstanceError):
         StdComponents.identity(H).comps = ()
+
+
+def _mutable_parts(value, path):
+    """Paths to every list, dict or set inside value's fields, at any depth."""
+    if isinstance(value, (list, dict, set)):
+        yield path
+    elif isinstance(value, tuple):
+        for i, v in enumerate(value):
+            yield from _mutable_parts(v, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _mutable_parts(getattr(value, f.name), f"{path}.{f.name}")
+
+
+@pytest.mark.parametrize("alg", [H, COMPLEX], ids=["H", "C"])
+def test_cached_big_c_holds_nothing_mutable(alg):
+    # big_c is cached and public: a mutable row would change every later
+    # conversion in the process.
+    assert list(_mutable_parts(big_c(alg), "big_c")) == []
 
 
 def test_parallel_evaluation_is_consistent():

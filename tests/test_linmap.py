@@ -1,27 +1,23 @@
-"""Linear-map representations: conversion, solvability, composition, forms."""
+"""Linear-map representations: conversion, solvability, composition, basis change."""
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from ncdr import closed_forms, exactla
-from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra, mul
+from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra
 from ncdr.dspace import ComponentMap, DVector, apply_component_map, component_sum_to_std
 from ncdr.errors import AlgebraMismatch, DimensionMismatch, NotRepresentable, Singular
 from ncdr.linmap import (
     CoordMatrix,
-    PolyCoords,
     StdComponents,
     big_c,
     change_basis,
-    check_symmetry,
     compose_std,
     coord_to_std,
     eval_std,
     kernel_rank,
-    polyform_coords,
     std_to_coord,
 )
 
@@ -294,42 +290,6 @@ def test_change_basis():
 def test_change_basis_rejects_wrong_shapes_and_algebras(A, error):
     with pytest.raises(error):
         change_basis(CoordMatrix.identity(H), A)
-
-
-def test_polyform_coords_product_map():
-    p = polyform_coords(lambda a, b: mul(a, b), H, 2)
-    for j1 in range(4):
-        for j2 in range(4):
-            assert p.coords[(j1, j2)] == mul(H.basis(j1), H.basis(j2))
-    ident = polyform_coords(lambda a: a, H, 1)
-    for i in range(4):
-        assert ident.coords[(i,)] == H.basis(i)
-
-
-def test_polyform_reconstruction():
-    rng = random.Random(41)
-    p = polyform_coords(lambda a, b: mul(a, b), H, 2)
-    for _ in range(50):
-        x, y = random_element(rng), random_element(rng)
-        assert p.evaluate([x, y]) == mul(x, y)
-
-
-def test_check_symmetry():
-    sym = polyform_coords(lambda a, b: mul(a, b) + mul(b, a), H, 2)
-    skew = polyform_coords(lambda a, b: mul(a, b) - mul(b, a), H, 2)
-    prod = polyform_coords(lambda a, b: mul(a, b), H, 2)
-    assert check_symmetry(sym) == "symmetric"
-    assert check_symmetry(skew) == "skew"
-    assert check_symmetry(prod) == "neither"
-    # Degree 5 is classified too: a function of the sorted index tuple is
-    # symmetric, and changing one coordinate leaves it neither.
-    coords = {
-        idx: H.element([sum(idx), max(idx), 1, 0])
-        for idx in itertools.product(range(4), repeat=5)
-    }
-    assert check_symmetry(PolyCoords(alg=H, degree=5, coords=coords)) == "symmetric"
-    coords[(0, 1, 2, 3, 3)] = H.zero
-    assert check_symmetry(PolyCoords(alg=H, degree=5, coords=coords)) == "neither"
 
 
 FLOAT_GRID = tuple(tuple(0.5 + (i == j) for j in range(4)) for i in range(4))

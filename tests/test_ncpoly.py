@@ -1,5 +1,6 @@
 """Symbolic polynomial calculus: polarization derivatives and Taylor forms."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -81,8 +82,6 @@ def test_sym_derivative_square():
 def test_sym_derivative_cube_third_order():
     d = sym_derivative(poly("x^3"), 3)
     expected = WordPoly.zero(H)
-    import itertools
-
     for p in itertools.permutations(["h1", "h2", "h3"]):
         term = wp_var(p[0]) * wp_var(p[1]) * wp_var(p[2])
         expected = expected + term
@@ -199,6 +198,53 @@ def test_conj_power_is_decided_within_the_guard(n):
     x = wp_var("x")
     assert extensional_equal(conj_form(x) ** n, conj_form(x**n))
     assert not extensional_equal(conj_form(x) ** n, conj_form(x) ** (n - 1) * x)
+
+
+def symmetry(w, names):
+    """Symmetric, skew or neither in the symbols names, from their adjacent
+    transpositions: they generate every permutation, and each has sign -1."""
+    swapped = [w.rename({a: b, b: a}) for a, b in zip(names, names[1:])]
+    if all(extensional_equal(w, s) for s in swapped):
+        return "symmetric"
+    if all(extensional_equal(w, -s) for s in swapped):
+        return "skew"
+    return "neither"
+
+
+def test_symmetry_of_bilinear_words():
+    h1, h2 = wp_var("h1"), wp_var("h2")
+    assert symmetry(h1 * h2 + h2 * h1, ["h1", "h2"]) == "symmetric"
+    assert symmetry(h1 * h2 - h2 * h1, ["h1", "h2"]) == "skew"
+    assert symmetry(h1 * h2, ["h1", "h2"]) == "neither"
+    # Re(h1 h2) = (y + conj y)/2 at y = h1 h2 is symmetric as a map but not
+    # as words, so the lattice points decide it, not the formal match.
+    re = Fraction(1, 2) * (h1 * h2 + conj_form(h1 * h2))
+    assert re.terms != re.rename({"h1": "h2", "h2": "h1"}).terms
+    assert symmetry(re, ["h1", "h2"]) == "symmetric"
+    assert symmetry(re - h1 * h2, ["h1", "h2"]) == "neither"
+
+
+def test_symmetry_of_trilinear_words_with_noncentral_constants():
+    # a h_s1 b h_s2 c h_s3 summed over the permutations s, unsigned and signed.
+    a, b, c = ONE + I, J - 2 * K, Fraction(1, 2) * I + K
+    names = ["h1", "h2", "h3"]
+
+    def form(signed, first=a):
+        raw = []
+        for n, perm in enumerate(itertools.permutations(range(3))):
+            inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+            coeff = Fraction((-1) ** inversions if signed else 1)
+            consts = (first if n == 0 else a, b, c)
+            raw.append((coeff, tuple(
+                f for k, s in zip(consts, perm) for f in (Const(k), Var(names[s]))
+            )))
+        return WordPoly.build(H, raw)
+
+    assert symmetry(form(False), names) == "symmetric"
+    assert symmetry(form(True), names) == "skew"
+    # One word's constant changed leaves it neither.
+    assert symmetry(form(False, first=a + J), names) == "neither"
+    assert symmetry(form(True, first=a + J), names) == "neither"
 
 
 @pytest.mark.parametrize("op", [
