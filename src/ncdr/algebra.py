@@ -8,9 +8,10 @@ field viewed as a 2-dimensional real algebra.
 An element is exact or float, fixed when it is built.  Exact arithmetic runs
 on integer numerators over one denominator, as do the structure constants
 (cached per algebra): a product sums numerator products, and one gcd reduces
-it.  Fraction coordinates are built only when read.  A float operand sends a
-product to the float kernel, which rounds each term as float(a) * float(b) *
-float(c), exactly as mixed Fraction/float arithmetic would.  The
+it.  Fraction coordinates are built only when read.  A float element holds
+Python floats only, converted once when it is built.  A float operand sends
+a product to the float kernel, which rounds each term as float(a) *
+float(b) * float(c), exactly as mixed Fraction/float arithmetic would.  The
 associativity check at construction sums the same integer triples over pairs
 sharing an index, so it costs O(t^2) for t nonzero constants, not O(n^5).
 """
@@ -147,7 +148,7 @@ class AlgebraSpec:
     def scalar(self, value: ScalarLike) -> "Element":
         v = as_scalar(value)
         if isinstance(v, float):
-            return self.element([v] + [Fraction(0)] * (self.dim - 1))
+            return _float_element(self, (float(v),) + (0.0,) * (self.dim - 1))
         return _exact(self, (v.numerator,) + (0,) * (self.dim - 1), v.denominator)
 
     @property
@@ -206,13 +207,13 @@ class Element:
     """An algebra element as its coordinate vector over the scalar field.
 
     Coordinates holding a float (anything without a denominator) build a
-    float element, which keeps them as given and has `_ints` None.  Others
-    build an exact element: `_ints` is (numerators, den) with den > 0 and
-    gcd(den, *numerators) == 1, and `coords` is a Fraction view built on
-    first read and cached (given coordinates are kept as it).  Elements are
-    frozen, and compare and hash as their coordinate tuples do; the cached
-    hash of an exact element takes one modular inverse, as
-    hash(Fraction(v, d)) == hash(v * pow(d, -1, P)).
+    float element, which converts each to a Python float once and has
+    `_ints` None.  Others build an exact element: `_ints` is (numerators,
+    den) with den > 0 and gcd(den, *numerators) == 1, and `coords` is a
+    Fraction view built on first read and cached (given coordinates are
+    kept as it).  Elements are frozen, and compare and hash as their
+    coordinate tuples do; the cached hash of an exact element takes one
+    modular inverse, as hash(Fraction(v, d)) == hash(v * pow(d, -1, P)).
     """
 
     __slots__ = ("_alg", "_ints", "_coords", "_hash")
@@ -222,7 +223,7 @@ class Element:
         try:  # floats have no denominator
             den = math.lcm(*[c.denominator for c in self._coords])
         except AttributeError:
-            self._ints = None
+            self._ints, self._coords = None, tuple(map(float, self._coords))
         else:  # over the lcm of the reduced denominators, gcd(den, *num) == 1
             self._ints = tuple([c.numerator * (den // c.denominator) for c in self._coords]), den
 
@@ -288,9 +289,8 @@ class Element:
     def _scaled(self, s: object) -> "Element":
         if not isinstance(s, (int, Fraction, float)):
             return NotImplemented
-        if self._ints is None:
-            return _float_element(self._alg, tuple([a * s for a in self._coords]))
-        if isinstance(s, float):
+        if self._ints is None or isinstance(s, float):
+            s = float(s)
             return _float_element(self._alg, tuple([a * s for a in _float_coords(self)]))
         return _times(self, s.numerator, s.denominator)
 
@@ -350,7 +350,7 @@ def _combine(x: Element, y: Element, op: Callable) -> Element:
     x._check_same(y)
     a, b = x._ints, y._ints
     if a is None or b is None:
-        return _float_element(x._alg, tuple(map(op, x.coords, y.coords)))
+        return _float_element(x._alg, tuple(map(op, _float_coords(x), _float_coords(y))))
     (an, ad), (bn, bd) = a, b
     if ad != bd:
         an, bn, ad = [v * bd for v in an], [v * ad for v in bn], ad * bd
@@ -364,7 +364,7 @@ def _times(x: Element, p: int, q: int) -> Element:
 
 
 def _float_element(alg: AlgebraSpec, coords: tuple) -> Element:
-    """A float element of a coordinate tuple that holds a float; no type check."""
+    """A float element of a tuple of Python floats; no conversion or check."""
     e = _new(Element)
     e._alg, e._ints, e._coords, e._hash = alg, None, coords, None
     return e
@@ -373,7 +373,7 @@ def _float_element(alg: AlgebraSpec, coords: tuple) -> Element:
 def _float_coords(x: Element) -> tuple[float, ...]:
     """The coordinates as floats; v / den rounds as float(Fraction(v, den)) does."""
     if x._ints is None:
-        return tuple(map(float, x._coords))
+        return x._coords
     num, den = x._ints
     return tuple([v / den for v in num])
 
@@ -381,11 +381,11 @@ def _float_coords(x: Element) -> tuple[float, ...]:
 def mul(x: Element, y: Element) -> Element:
     """Product via structure constants: (xy)^p = sum x^k y^l C[k][l][p].
 
-    A float operand selects the float kernel: both coordinate tuples become
-    floats and the products accumulate over the float triples.  Otherwise
-    the integer numerators of both operands run over the integer triples;
-    the sums over the product of the three denominators are reduced by one
-    gcd, and no Fraction is built.
+    A float operand selects the float kernel: an exact operand's numerators
+    become floats over its denominator, and the products accumulate over the
+    float triples.  Otherwise the integer numerators of both operands run
+    over the integer triples; the sums over the product of the three
+    denominators are reduced by one gcd, and no Fraction is built.
     """
     x._check_same(y)
     alg = x._alg

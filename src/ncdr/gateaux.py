@@ -13,10 +13,11 @@ general path: its samples f(x) - f(x) are 0, so it returns 0 with error 0.0
 where f is defined and finite at x, and raises what f raises where it is not.
 
 The samples and the Neville table are plain lists of Python floats, one
-float operation per coordinate.  numpy serves only where whole matrices
-are: the Jacobian array, the least-squares solve, the SVD and the sampled
-norm.  A derivative whose extrapolants or error estimate are NaN or
-infinite raises NonConvergent instead of passing as a value.
+float operation per coordinate.  numpy holds only the Jacobian array, its
+SVD and the sampled norm; the least-squares solve multiplies by big_c's
+exact pseudo-inverse in floats.  A derivative whose extrapolants or error
+estimate are NaN or infinite raises NonConvergent instead of passing as a
+value.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, _float_element, inverse, mul, norm_float, norm_sq
+from .algebra import AlgebraSpec, Element, _float_coords, _float_element, inverse, mul
+from .algebra import norm_float, norm_sq
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -38,6 +40,7 @@ from .errors import (
     ZeroDirection,
 )
 from .linmap import CoordMatrix, StdComponents, StdSolution, big_c, coord_to_std
+from .linmap import _float_rows_vec, _square
 
 Point = Union[Element, Sequence[Element]]
 
@@ -52,8 +55,9 @@ REL_TOL = 1e-8
 #: Relative tolerance of second_gateaux's outer extrapolation.
 SECOND_ORDER_TOL = 1e-6
 # differential_std_components snaps Jacobian entries within SNAP_TOL of a
-# fraction of denominator <= SNAP_DENOMINATOR; otherwise a least-squares
-# residual above LSTSQ_RESIDUAL_TOL means the differential is not representable.
+# fraction of denominator <= SNAP_DENOMINATOR; otherwise the least-norm
+# components come from big_c's pseudo-inverse in floats, and a residual above
+# LSTSQ_RESIDUAL_TOL means the differential is not representable.
 SNAP_DENOMINATOR = 64
 SNAP_TOL = 1e-7
 LSTSQ_RESIDUAL_TOL = 1e-6
@@ -135,9 +139,9 @@ def _directional(
         )
 
     def sample(t: float) -> list[float]:
-        # float(): a map may return exact coordinates, as maps.constant does.
-        plus, minus = f(shifted(t)).coords, f(shifted(-t)).coords
-        return [(float(p) - float(m)) / (2.0 * t) for p, m in zip(plus, minus)]
+        # A map may return an exact element, as maps.constant does.
+        plus, minus = _float_coords(f(shifted(t))), _float_coords(f(shifted(-t)))
+        return [(p - m) / (2.0 * t) for p, m in zip(plus, minus)]
 
     try:
         return _richardson(
@@ -240,36 +244,29 @@ def jacobian(f: MapEvaluator, x: Point) -> np.ndarray:
 
 
 def differential_std_components(f: MapEvaluator, x: Element) -> StdSolution:
-    """Standard components of the differential at x, via the Jacobian.
+    """Standard components of the differential at x, via the Jacobian J.
 
     Entries near small rationals (denominator <= SNAP_DENOMINATOR, within
-    SNAP_TOL) are snapped and solved exactly; otherwise a float least-squares
-    solve decides representability at LSTSQ_RESIDUAL_TOL.
+    SNAP_TOL) are snapped and solved exactly.  Otherwise the least-norm
+    components are big_c's pseudo-inverse times vec(J) in floats, and the
+    residual max |mat x - vec(J)| decides representability at LSTSQ_RESIDUAL_TOL.
     """
     _require_scalar_map(f)
     alg = f.alg
     n = alg.dim
-    jac = jacobian(f, x)
-    snapped = [[Fraction(float(jac[j, i])).limit_denominator(SNAP_DENOMINATOR)
-                for i in range(n)] for j in range(n)]
-    if all(
-        abs(float(snapped[j][i]) - float(jac[j, i])) <= SNAP_TOL
-        for j in range(n)
-        for i in range(n)
-    ):
-        return coord_to_std(CoordMatrix.from_rows(alg, snapped))
+    b = jacobian(f, x).ravel().tolist()
+    snapped = [Fraction(v).limit_denominator(SNAP_DENOMINATOR) for v in b]
+    if all(abs(float(s) - v) <= SNAP_TOL for s, v in zip(snapped, b)):
+        return coord_to_std(CoordMatrix(alg, _square(snapped, n)))
     B = big_c(alg)
-    A = B.float_mat
-    b = jac.ravel()
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.max(np.abs(A @ sol - b)))
+    sol = _float_rows_vec(B.pinv_rows, b)
+    residual = max(abs(v - w) for v, w in zip(_float_rows_vec(B.mat_rows, sol), b))
     if residual > LSTSQ_RESIDUAL_TOL:
         raise NotRepresentable(
             f"Jacobian is {residual:.3e} away from the representable subspace",
             residual=residual,
         )
-    comps = tuple(tuple(float(sol[k * n + r]) for r in range(n)) for k in range(n))
-    return StdSolution(StdComponents(alg, comps), unique=B.rank == n * n)
+    return StdSolution(StdComponents(alg, _square(sol, n)), unique=B.rank == n * n)
 
 
 def verify_product_rule(f: MapEvaluator, g: MapEvaluator, x: Element, a: Element) -> float:

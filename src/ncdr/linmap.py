@@ -15,8 +15,10 @@ exact element's numerators by integer rows.  Only final entries are Fractions.
 CoordMatrix.apply and @, embed_matrix, coord_to_std, compose_std, kernel_rank
 and change_basis take exact scalars only; each raises TypeError on a float
 element or float-entry matrix.  std_to_coord also takes float components
-(least-squares differentials), summing float(constant) * float(component) in
-(k, r) order over the nonzero constants.
+(least-squares differentials).  _float_rows_vec multiplies big_c's integer
+rows with a float vector, adding float(entry) * v[c] over each row's nonzero
+entries in column order: std_to_coord runs it over mat_rows, and the numeric
+least-squares solve over pinv_rows and mat_rows.  No numpy here.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from . import exactla
 from .algebra import AlgebraSpec, Element, ScalarLike, _read_json, _reduced, as_scalar, mul
@@ -96,11 +96,11 @@ class CoordMatrix:
         return cls.from_rows(alg, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @cached_property
-    def _ints(self) -> tuple[list[list[int]], int]:
-        """mat as integer rows over one denominator; exact entries only."""
+    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """mat as integer rows over one denominator, in tuples; exact entries only."""
         nums, den = exactla.numerators([v for row in self.mat for v in row])
         n = self.alg.dim
-        return [nums[j : j + n] for j in range(0, n * n, n)], den
+        return tuple([tuple(nums[j : j + n]) for j in range(0, n * n, n)]), den
 
     def apply(self, a: Element) -> Element:
         """The image of an exact element; exact entries only."""
@@ -164,13 +164,6 @@ class BigC:
     mat_rows: exactla.IntRows = field(repr=False, compare=False)
     pinv_rows: exactla.IntRows = field(repr=False, compare=False)
 
-    @cached_property
-    def float_mat(self) -> np.ndarray:
-        """mat in floats, for the numeric least-squares solve; read-only."""
-        mat = np.array(self.mat, dtype=float)
-        mat.flags.writeable = False
-        return mat
-
     def report(self) -> dict:
         return {
             "dim": self.alg.dim,
@@ -213,16 +206,22 @@ def std_to_coord(f: StdComponents) -> CoordMatrix:
     flat = [v for row in f.comps for v in row]
     rows = big_c(alg).mat_rows
     if float in map(type, flat):
-        flat = [float(v) for v in flat]
-        out = []
-        for terms, den in rows:
-            acc = 0.0
-            for c, a in terms:
-                acc += a / den * flat[c]
-            out.append(acc)
+        out = _float_rows_vec(rows, [float(v) for v in flat])
     else:
         out = exactla.rows_vec(rows, flat)
     return CoordMatrix(alg, _square(out, n))
+
+
+def _float_rows_vec(rows: exactla.IntRows, v: Sequence[float]) -> list[float]:
+    """Integer rows times a float vector: each entry sums a / den * v[c] over
+    its row's nonzero terms in column order."""
+    out = []
+    for terms, den in rows:
+        acc = 0.0
+        for c, a in terms:
+            acc += a / den * v[c]
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)

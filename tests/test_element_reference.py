@@ -6,19 +6,23 @@ arithmetic it replaced is kept here as the reference: every operation must
 give equal coordinates, all of them Fractions, over H, C and general
 E(a, b), split algebras included.  The integer view must be canonical, and
 the hash must be that of the coordinate tuple for exact and float elements.
+A float element holds Python floats only, whichever route built it.
 """
 
 import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_mul_kernels import algebras, exact_coords, reference_mul
 
-from ncdr.algebra import QUATERNIONS, Element, conj, inverse, mul, norm_sq
+from ncdr import maps
+from ncdr.algebra import COMPLEX, QUATERNIONS, Element, conj, inverse, mul, norm_sq
 from ncdr.errors import NotInvertible
+from ncdr.gateaux import MapEvaluator, gateaux, jacobian
 
 H = QUATERNIONS
 
@@ -95,13 +99,62 @@ def test_exact_and_float_elements_compare_and_hash_by_value():
     assert len({H.one, f, H.scalar(1), H.element(["1", "0", "0", "0"])}) == 1
     assert H.basis(2) != H.one and H.scalar(Fraction(1, 2)) == Element(H, (0.5, 0, 0, 0))
     mixed = H.scalar(1.5)
-    assert mixed.coords == (1.5, 0, 0, 0) and type(mixed.coords[1]) is Fraction
+    assert mixed.coords == (1.5, 0, 0, 0) and type(mixed.coords[1]) is float
     assert hash(mixed) == hash(mixed.coords)
     # A denominator divisible by the hash modulus has no inverse modulo it.
     P = sys.hash_info.modulus
     for den in (P, 3 * P):
         x = mul(H.element([Fraction(1, den), 2, 0, Fraction(-5, 3)]), H.basis(1))
         assert x._ints[1] % P == 0 and hash(x) == hash(x.coords)
+
+
+def assert_float_only(e):
+    assert e._ints is None and all(type(c) is float for c in e.coords), repr(e)
+
+
+def test_float_elements_hold_python_floats_only():
+    exact = H.element([1, Fraction(1, 3), -2, Fraction(5, 7)])
+    mixed = H.element([1, Fraction(1, 3), 0.5, np.float64(2.5)])
+    assert mixed.coords == (1.0, 1 / 3, 0.5, 2.5)
+    floats = [
+        mixed,
+        Element(H, (np.float64(1.5), 0, Fraction(1, 2), 2)),
+        H.scalar(1.5),
+        H.scalar(np.float64(-0.25)),
+        exact + mixed,
+        mixed - exact,
+        exact * 0.5,
+        0.5 * exact,
+        exact * np.float64(0.5),
+        mixed * Fraction(1, 3),
+        Fraction(1, 3) * mixed,
+        mixed * 3,
+        mixed / 4,
+        exact / 0.5,
+        -mixed,
+        conj(mixed),
+        inverse(mixed),
+        mul(exact, mixed),
+        exact.to_float(),
+        mixed.to_float(),
+        COMPLEX.element([Fraction(1, 3), np.float64(2)]),
+    ]
+    seen = []
+
+    def spy(x):
+        y = mul(mul(x, exact), x)
+        seen.extend((x, y))
+        return y
+
+    f = MapEvaluator.unary(H, spy)
+    floats += [gateaux(f, exact, H.basis(2)), gateaux(maps.constant(exact), exact, mixed)]
+    jacobian(f, exact)
+    floats += seen
+    norm = maps.norm_square(H)
+    floats += [norm((exact,)), norm((mixed,)), gateaux(norm, exact, H.basis(1))]
+    for e in floats:
+        assert_float_only(e)
+    assert type(norm_sq(mixed)) is float
 
 
 def test_exact_chain_builds_no_fraction_until_coords_are_read(monkeypatch):

@@ -11,20 +11,27 @@ error f raises there, so that a pole at x is named rather than reported as
 non-convergence.
 The reference reads the engine's fixed step schedule and tolerances
 (BASE_STEP, RATIO, LEVELS, REL_TOL, SECOND_ORDER_TOL).
+
+The least-squares branch of differential_std_components multiplies vec(J)
+by big_c's exact pseudo-inverse in floats.  numpy's lstsq over big_c in
+floats, which it replaced, is kept as its reference: components and
+residuals must agree to 1e-12, and NotRepresentable must be raised for the
+same Jacobians with the same message.
 """
 
 import importlib
 import math
+from fractions import Fraction
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncdr import maps
 from ncdr.algebra import COMPLEX, QUATERNIONS, Element, make_quaternion_algebra, mul
-from ncdr.errors import NcdrError, NonConvergent
+from ncdr.errors import NcdrError, NonConvergent, NotRepresentable
 from ncdr.gateaux import (
     MapEvaluator,
     differential_std_components,
@@ -32,6 +39,7 @@ from ncdr.gateaux import (
     jacobian,
     second_gateaux,
 )
+from ncdr.linmap import StdComponents, big_c, std_to_coord
 
 # The package re-exports the gateaux() function under the module's name.
 engine = importlib.import_module("ncdr.gateaux")
@@ -246,3 +254,72 @@ def test_non_finite_reference_values_raise():
         value, _ = gateaux_with_error(maps.cube(H), big, i)
     assert not all(math.isfinite(v) for v in value.coords)
     check_entry_points(maps.cube(H), big, i, b=j)
+
+
+def reference_least_squares(alg, jac):
+    """The float solve the engine ran before: numpy's lstsq over big_c."""
+    A = np.array(big_c(alg).mat, dtype=float)
+    b = jac.ravel()
+    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    residual = float(np.max(np.abs(A @ sol - b)))
+    if residual > engine.LSTSQ_RESIDUAL_TOL:
+        raise NotRepresentable(
+            f"Jacobian is {residual:.3e} away from the representable subspace",
+            residual=residual,
+        )
+    return sol, residual, big_c(alg).rank == alg.dim**2
+
+
+LSTSQ_ALGEBRAS = (
+    QUATERNIONS,
+    COMPLEX,
+    make_quaternion_algebra(Fraction(-3, 2), Fraction(5, 7)),
+    make_quaternion_algebra(1, 1),
+)
+entries = st.floats(-8, 8)
+
+
+@st.composite
+def float_jacobians(draw):
+    """A float coordinate matrix, representable up to noise below 1e-9 or
+    drawn entry by entry.  The sqrt(2)/8 shift keeps it off the snap grid."""
+    alg = draw(st.sampled_from(LSTSQ_ALGEBRAS))
+    n = alg.dim
+    grid = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    grid[0][0] += math.sqrt(2) / 8
+    if draw(st.booleans()):
+        noise = st.floats(-1e-9, 1e-9)
+        coords = std_to_coord(StdComponents(alg, tuple(map(tuple, grid)))).mat
+        grid = [[v + draw(noise) for v in row] for row in coords]
+    return alg, np.array(grid)
+
+
+def _snaps(jac):
+    return all(
+        abs(float(Fraction(v).limit_denominator(engine.SNAP_DENOMINATOR)) - v) <= engine.SNAP_TOL
+        for v in jac.ravel().tolist()
+    )
+
+
+@given(float_jacobians())
+@settings(max_examples=300, deadline=None)
+def test_least_squares_matches_lstsq(drawn):
+    alg, jac = drawn
+    assume(not _snaps(jac))
+    f = maps.identity_map(alg)
+    with mock.patch.object(engine, "jacobian", lambda *_: jac):
+        got = outcome(lambda: differential_std_components(f, alg.one))
+    want = outcome(lambda: reference_least_squares(alg, jac))
+    if want[0] == "raised":
+        assert got[:3] == want[:3]
+        assert abs(got[3][3] - want[3][3]) <= 1e-12
+        return
+    (comps, unique), ((_, sol), residual, want_unique) = got[1], want[1]
+    n = alg.dim
+    scale = max(1.0, float(np.max(np.abs(jac))))
+    assert all(type(v) is float for row in comps for v in row)
+    assert np.max(np.abs(np.array(comps).ravel() - np.array(sol))) <= 1e-12 * scale
+    assert unique == want_unique
+    back = std_to_coord(StdComponents(alg, comps)).mat
+    got_residual = max(abs(back[j][i] - jac[j, i]) for j in range(n) for i in range(n))
+    assert abs(got_residual - residual) <= 1e-12

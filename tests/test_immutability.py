@@ -1,5 +1,6 @@
-"""Value types are frozen, the cached big_c holds nothing mutable, word
-factors are interned and the numeric engine is reentrant."""
+"""Value types are frozen, the cached big_c and a coordinate matrix's integer
+rows hold nothing mutable, word factors are interned and the numeric engine
+is reentrant."""
 
 import copy
 import dataclasses
@@ -15,7 +16,7 @@ import pytest
 from ncdr import maps
 from ncdr.algebra import COMPLEX, QUATERNIONS, mul
 from ncdr.gateaux import gateaux
-from ncdr.linmap import StdComponents, big_c
+from ncdr.linmap import CoordMatrix, StdComponents, big_c
 from ncdr.ncpoly import Const, Var
 from ncdr.verify import run_check
 
@@ -48,6 +49,13 @@ def test_cached_big_c_holds_nothing_mutable(alg):
     # big_c is cached and public: a mutable row would change every later
     # conversion in the process.
     assert list(_mutable_parts(big_c(alg), "big_c")) == []
+
+
+def test_coord_matrix_int_rows_hold_nothing_mutable():
+    # apply caches the integer rows on the frozen matrix.
+    m = CoordMatrix.from_rows(H, [[1, "1/2", 0, 0], [0, 2, 0, "-1/3"], [0, 0, 1, 0], [5, 0, 0, 1]])
+    assert m.apply(H.basis(1)) == H.element([Fraction(1, 2), 2, 0, 0])
+    assert list(_mutable_parts(m._ints, "m._ints")) == []
 
 
 def test_parallel_evaluation_is_consistent():

@@ -1,11 +1,13 @@
-"""Linear-map representations: conversion, solvability, composition, basis change."""
+"""Linear-map representations: conversion, solvability, composition, basis change,
+and the numpy boundary: the linear-map layers import no numpy."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
-from ncdr import closed_forms, exactla
+from ncdr import closed_forms, exactla, linmap
 from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra
 from ncdr.dspace import ComponentMap, DVector, apply_component_map, component_sum_to_std
 from ncdr.errors import AlgebraMismatch, DimensionMismatch, NotRepresentable, Singular
@@ -341,3 +343,18 @@ def test_big_c_matches_separate_eliminations(alg):
         flat = [[g[k][r] for k in range(n) for r in range(n)] for g in B.zero_map_kernel]
         assert flat == exactla.nullspace(M)
         assert B.rank < n * n
+
+
+def _from_numpy(value) -> bool:
+    origins = [type(value).__module__, getattr(value, "__module__", None)]
+    if isinstance(value, types.ModuleType):
+        origins.append(value.__name__)
+    return any(str(o).split(".")[0] == "numpy" for o in origins)
+
+
+@pytest.mark.parametrize("module", [linmap, exactla], ids=lambda m: m.__name__)
+def test_exact_layers_hold_no_numpy(module):
+    # numpy stays in the numeric engine, which holds the Jacobian array and
+    # its SVD; the linear-map layers, float least squares included, run on
+    # Python integers, Fractions and floats.
+    assert [name for name, v in vars(module).items() if _from_numpy(v)] == []
