@@ -11,7 +11,11 @@ on integer numerators over one denominator, as do the structure constants
 it.  Fraction coordinates are built only when read.  A float element holds
 Python floats only, converted once when it is built.  A float operand sends
 a product to the float kernel, which rounds each term as float(a) *
-float(b) * float(c), exactly as mixed Fraction/float arithmetic would.  The
+float(b) * float(c), exactly as mixed Fraction/float arithmetic would.  Both
+kernels, integer and float, are straight-line code with one statement per
+nonzero constant, generated and compiled on the algebra's first product of
+their kind and cached on it.  Finite results are bit for bit those of a loop
+over the constants; a zero meeting an infinite coordinate gives NaN.  The
 associativity check at construction sums the same integer triples over pairs
 sharing an index, so it costs O(t^2) for t nonzero constants, not O(n^5).
 """
@@ -26,7 +30,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add, attrgetter, sub
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, Union
 
 from .errors import (
     AlgebraMismatch,
@@ -116,7 +120,8 @@ class AlgebraSpec:
 
     @cached_property
     def _nonzero_triples(self) -> tuple[tuple[int, int, int, Fraction], ...]:
-        # Sparse form of the structure tensor; the hot loop of every product.
+        # Sparse form of the structure tensor, from which the product kernels
+        # are generated.
         n, C = self.dim, self.structure
         return tuple(
             (k, l, p, C[k][l][p])
@@ -124,16 +129,26 @@ class AlgebraSpec:
         )
 
     @cached_property
-    def _float_triples(self) -> tuple[tuple[int, int, int, float], ...]:
-        # The same sparse tensor with float constants, for the float kernel.
-        return tuple((k, l, p, float(c)) for k, l, p, c in self._nonzero_triples)
-
-    @cached_property
     def _int_triples(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
         # The same sparse tensor as integer numerators over one common
         # denominator, for the exact kernel: (denominator, triples).
         den = math.lcm(*(c.denominator for *_, c in self._nonzero_triples))
         return den, tuple((k, l, p, int(c * den)) for k, l, p, c in self._nonzero_triples)
+
+    @cached_property
+    def _int_kernel(self) -> Callable[[Sequence[int], Sequence[int]], tuple[int, ...]]:
+        # Numerator products over the integer triples; the sums are over den.
+        return _kernel(self.dim, self._int_triples[1], "0")
+
+    @cached_property
+    def _float_kernel(self) -> Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]:
+        # The same triples with float constants: each term rounds as (x * y) * float(c).
+        triples = [(k, l, p, float(c)) for k, l, p, c in self._nonzero_triples]
+        return _kernel(self.dim, triples, "0.0")
+
+    def __reduce__(self) -> tuple:
+        # The cached kernels are functions, which do not pickle: rebuild.
+        return AlgebraSpec, (self.name, self.dim, self.structure, self.conj_signs)
 
     # -- element factories ------------------------------------------------
 
@@ -336,7 +351,7 @@ def _exact(alg: AlgebraSpec, num: tuple[int, ...], den: int) -> Element:
     return e
 
 
-def _reduced(alg: AlgebraSpec, num: list[int], den: int) -> Element:
+def _reduced(alg: AlgebraSpec, num: Sequence[int], den: int) -> Element:
     """An exact element of numerators over den > 0, reduced by one gcd."""
     g = math.gcd(den, *num)
     if g != 1:
@@ -378,37 +393,56 @@ def _float_coords(x: Element) -> tuple[float, ...]:
     return tuple([v / den for v in num])
 
 
+def _kernel(dim: int, triples: Iterable[tuple], zero: str) -> Callable:
+    """The product function _kernel_source writes, run with no builtins."""
+    namespace: dict[str, Any] = {"__builtins__": {}}
+    exec(_kernel_source(dim, triples, zero), namespace)
+    return namespace["kernel"]
+
+
+def _kernel_source(dim: int, triples: Iterable[tuple], zero: str) -> str:
+    """Source of kernel(x, y), the product of two coordinate sequences.
+
+    One flat statement per triple, in triple order, adds x_k * y_l * c to
+    the accumulator of e_p, which starts at zero (+= and -= for c = 1, -1).
+    Only index names, hex ints and the repr of finite floats enter it, and
+    its nesting depth does not grow with the algebra.
+    """
+    lines = [
+        "def kernel(x, y):",
+        "".join(f" x{k}," for k in range(dim)) + " = x",
+        "".join(f" y{l}," for l in range(dim)) + " = y",
+    ]
+    lines += [f" a{p} = {zero}" for p in range(dim)]
+    for k, l, p, c in triples:
+        if c == 1:
+            lines.append(f" a{p} += x{k} * y{l}")
+        elif c == -1:
+            lines.append(f" a{p} -= x{k} * y{l}")
+        else:  # hex, as decimal ints are capped at 4,300 digits
+            lines.append(f" a{p} += x{k} * y{l} * {hex(c) if type(c) is int else repr(c)}")
+    lines.append(" return (" + "".join(f"a{p}, " for p in range(dim)) + ")")
+    return "\n".join(lines)
+
+
 def mul(x: Element, y: Element) -> Element:
     """Product via structure constants: (xy)^p = sum x^k y^l C[k][l][p].
 
-    A float operand selects the float kernel: an exact operand's numerators
-    become floats over its denominator, and the products accumulate over the
-    float triples.  Otherwise the integer numerators of both operands run
-    over the integer triples; the sums over the product of the three
-    denominators are reduced by one gcd, and no Fraction is built.
+    A float operand selects the algebra's float kernel: an exact operand's
+    numerators become floats over its denominator, and each term is rounded
+    as (x^k * y^l) * c and summed from 0.0 in triple order, bit for bit as a
+    loop over the triples.  No term is skipped for a zero operand, so 0 times
+    an infinite coordinate adds NaN.  Otherwise the integer kernel sums
+    numerator products; one gcd reduces them over the product of the three
+    denominators, and no Fraction is built.
     """
     x._check_same(y)
     alg = x._alg
     xi, yi = x._ints, y._ints
     if xi is None or yi is None:
-        xf = _float_coords(x)
-        yf = _float_coords(y)
-        acc = [0.0] * alg.dim
-        for k, l, p, c in alg._float_triples:
-            a = xf[k]
-            b = yf[l]
-            if a and b:
-                acc[p] += a * b * c
-        return _float_element(alg, tuple(acc))
+        return _float_element(alg, alg._float_kernel(_float_coords(x), _float_coords(y)))
     (xn, dx), (yn, dy) = xi, yi
-    den, triples = alg._int_triples
-    acc = [0] * alg.dim
-    for k, l, p, c in triples:
-        a = xn[k]
-        b = yn[l]
-        if a and b:
-            acc[p] += a * b * c
-    return _reduced(alg, acc, den * dx * dy)
+    return _reduced(alg, alg._int_kernel(xn, yn), alg._int_triples[0] * dx * dy)
 
 
 def conj(x: Element) -> Element:
@@ -432,15 +466,16 @@ def norm_sq(x: Element) -> ScalarLike:
 
 def inverse(x: Element) -> Element:
     """x^{-1} = conj(x) / |x|^2; NotInvertible on zero norm."""
-    m = mul(x, conj(x))
+    c = conj(x)
+    m = mul(x, c)
     ints = m._ints
     n = m._coords[0] if ints is None else ints[0][0]
     if not n:
         raise NotInvertible(f"{format_element(x)} has zero norm")
     if ints is None:
-        return conj(x) * (1.0 / n)
+        return c * (1.0 / n)
     s = -1 if n < 0 else 1  # |x|^2 = n / den, so x^{-1} = conj(x) * den / n
-    return _times(conj(x), s * ints[1], s * n)
+    return _times(c, s * ints[1], s * n)
 
 
 def rotate(q: Element, p: Element) -> Element:

@@ -34,7 +34,8 @@ lattice point.  Constants are fused once, as a word is built or filled in.
 Sums, rename, derivative and scaling by a rational combine words that are
 already canonical or change their variable names or scalars, so they merge
 equal words and sort without a second fusion pass; two or more terms that
-are a single constant are summed into one.
+are a single constant are summed into one.  A rename that permutes names
+returns a polynomial it maps onto itself as it is.
 sym_derivative and taylor_poly raise DegreeTooLarge beyond
 MAX_DERIVATIVE_WORDS and MAX_TAYLOR_WORDS, a product of word polynomials
 beyond MAX_PRODUCT_WORDS, and extensional_equal beyond _MAX_EVAL_PRODUCTS
@@ -320,9 +321,15 @@ class WordPoly:
 
     def rename(self, mapping: Mapping[str, str]) -> "WordPoly":
         # Renaming leaves every word canonical, so equal words only need
-        # merging, not the constant fusion of build.
+        # merging, not the constant fusion of build.  A permutation of names
+        # that maps the polynomial onto itself, as a swap of two symbols does
+        # to a symmetric form, returns it as it is.
         new = {Var(old): Var(name) for old, name in mapping.items()}
         raw = [(c, tuple(map(new.get, w, w))) for c, w in self.terms]
+        if set(mapping.values()) == mapping.keys():
+            coeffs = {w: c for c, w in self.terms}
+            if all(coeffs.get(w) == c for c, w in raw):
+                return self
         return WordPoly(self.alg, _collect(raw))
 
     def substitute(self, name: str, replacement: "WordPoly") -> "WordPoly":
@@ -335,6 +342,9 @@ class WordPoly:
         self._check_same(replacement)
         alg = self.alg
         x = Var(name)
+        if not replacement.terms:
+            # Only the words without x survive, and they stay canonical and sorted.
+            return WordPoly(alg, tuple(t for t in self.terms if x not in t[1]))
         raw: list[Term] = []
         for coeff, word in self.terms:
             segments: list[list[Factor]] = [[]]

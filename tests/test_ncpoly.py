@@ -534,6 +534,41 @@ def test_word_poly_sums_merge_like_build(pair):
 
 @given(word_poly_pairs())
 @settings(max_examples=100, deadline=None)
+def test_renaming_matches_build(pair):
+    # Permutations of names and mappings that merge names.
+    w1, w2 = pair
+
+    def renamed_by_hand(w, mapping):
+        new = {Var(a): Var(b) for a, b in mapping.items()}
+        return WordPoly.build(w.alg, [(c, tuple(new.get(f, f) for f in word))
+                                      for c, word in w.terms])
+
+    # With w1's words swapped in, x -> h merges words; the swap maps the
+    # symmetric sum onto itself and the skew difference onto its negative.
+    swapped = renamed_by_hand(w1, {"x": "h", "h": "x"})
+    for w in (w1, w2, w1 + 2 * swapped, w1 + swapped, w1 - swapped):
+        for mapping in ({"x": "h", "h": "x"}, {"x": "y", "y": "z", "z": "x"}, {},
+                        {"x": "h"}, {"x": "y"}, {"x": "h", "h": "y"}):
+            assert w.rename(mapping) == renamed_by_hand(w, mapping)
+
+
+@given(word_poly_pairs())
+@settings(max_examples=100, deadline=None)
+def test_substituting_zero_keeps_the_words_without_the_variable(pair):
+    w, _ = pair
+    alg = w.alg
+    # A zero replacement with a term, so the slot walk runs and finds that
+    # every filling vanishes.
+    walked = WordPoly(alg, ((Fraction(1), (Const(alg.zero),)),))
+    for name in ("x", "h"):
+        got = w.substitute(name, WordPoly.zero(alg))
+        assert got == w.substitute(name, walked)
+        assert got == w.substitute_element(name, alg.zero)
+        assert name not in got.variables()
+
+
+@given(word_poly_pairs())
+@settings(max_examples=100, deadline=None)
 def test_prefix_shared_evaluation_matches_word_eval(pair):
     w1, w2 = pair
     w = w1 * w2
