@@ -30,12 +30,13 @@ folded central scalars, sorted terms) is a fast pre-check only; equality of
 word polynomials is extensional, decided exactly by evaluating each
 homogeneous part of the difference on principal lattices of its symbols'
 degrees, the basis for degree 1, with one stack of prefix products per
-lattice point.  Constants are fused once, as a word is built or filled in.
-Sums, rename, derivative and scaling by a rational combine words that are
-already canonical or change their variable names or scalars, so they merge
-equal words and sort without a second fusion pass; two or more terms that
-are a single constant are summed into one.  A rename that permutes names
-returns a polynomial it maps onto itself as it is.
+lattice point.  Constants are fused once, as a word is built or filled in,
+each run held pending as one product and interned only when a variable
+follows or the word ends.  Sums, rename, derivative and scaling by a
+rational combine words that are already canonical or change their variable
+names or scalars, so they merge equal words and sort without a second fusion
+pass; two or more terms that are a single constant are summed into one.  A
+rename that permutes names returns a polynomial it maps onto itself as it is.
 sym_derivative and taylor_poly raise DegreeTooLarge beyond
 MAX_DERIVATIVE_WORDS and MAX_TAYLOR_WORDS, a product of word polynomials
 beyond MAX_PRODUCT_WORDS, and extensional_equal beyond _MAX_EVAL_PRODUCTS
@@ -165,31 +166,6 @@ def _is_central_scalar(e: Element) -> bool:
     return e._ints is not None and not any(e._ints[0][1:])
 
 
-def _append(out: Word, scale: Fraction, f: Factor) -> tuple[Word, Fraction] | None:
-    """One step of the canonical fusion: f appended to the canonical prefix out.
-
-    Central scalars fold into scale, a constant fuses with a constant before
-    it, and None means the word vanished.
-    """
-    if isinstance(f, Var):
-        return out + (f,), scale
-    v = f.value
-    central = _is_central_scalar(v)
-    if not central and out and isinstance(out[-1], Const):
-        v = mul(out[-1].value, v)
-        out = out[:-1]
-        central = _is_central_scalar(v)
-    if central:
-        num, den = v._ints
-        if num[0] != den:  # the unit leaves scale as it is
-            scale = Fraction(scale.numerator * num[0], scale.denominator * den)
-        return (out, scale) if scale else None
-    if v.is_zero():
-        return None
-    # Unfused, f is already the interned factor of v.
-    return out + (f if v is f.value else Const(v),), scale
-
-
 def _collect(raw: Iterable[Term]) -> tuple[Term, ...]:
     """Merge equal words and sort; every word must already be canonical.
 
@@ -216,15 +192,50 @@ def _collect(raw: Iterable[Term]) -> tuple[Term, ...]:
     return tuple(terms)
 
 
-def _extend(
-    state: tuple[Word, Fraction], word: Iterable[Factor]
-) -> tuple[Word, Fraction] | None:
-    """The canonical fusion of state's prefix followed by word; None if it vanished."""
+# A walk's state: the canonical prefix, the constant pending after it (its
+# interned factor, an element once fused, or None) and the scale.
+State = tuple[Word, Union[Const, Element, None], Fraction]
+
+
+def _extend(state: State, word: Iterable[Factor]) -> State | None:
+    """The canonical fusion of state followed by word; None if it vanished.
+
+    Central scalars fold into the scale, and a constant fuses with the one
+    pending, which enters the prefix when a variable follows (or in _word,
+    when the word ends).  Only a float constant reaches the zero test: an
+    exact zero is a central scalar and vanishes through the scale.
+    """
+    out, pending, scale = state
     for f in word:
-        state = _append(*state, f)
-        if state is None:
+        if f.__class__ is Var:
+            out = _word(out, pending) + (f,)
+            pending = None
+            continue
+        v = f.value
+        central = _is_central_scalar(v)
+        if not central and pending is not None:
+            v = mul(pending.value if pending.__class__ is Const else pending, v)
+            pending = None
+            central = _is_central_scalar(v)
+        if central:
+            num, den = v._ints
+            if num[0] != den:  # the unit leaves scale as it is
+                scale = Fraction(scale.numerator * num[0], scale.denominator * den)
+                if not scale:
+                    return None
+        elif v.is_zero():
             return None
-    return state
+        else:
+            # Unfused, f is already the interned factor of v.
+            pending = f if v is f.value else v
+    return out, pending, scale
+
+
+def _word(out: Word, pending: Const | Element | None) -> Word:
+    """out followed by the pending constant, interned here."""
+    if pending is None:
+        return out
+    return out + (pending if pending.__class__ is Const else Const(pending),)
 
 
 def _canonical(alg: AlgebraSpec, raw: Iterable[Term]) -> tuple[Term, ...]:
@@ -232,10 +243,10 @@ def _canonical(alg: AlgebraSpec, raw: Iterable[Term]) -> tuple[Term, ...]:
     for coeff, word in raw:
         if not coeff:
             continue
-        state = _extend(((), Fraction(coeff)), word)
+        state = _extend(((), None, Fraction(coeff)), word)
         if state is not None:
-            out, scale = state
-            fused.append((scale, out or (Const(alg.one),)))
+            out, pending, scale = state
+            fused.append((scale, _word(out, pending) or (Const(alg.one),)))
     return _collect(fused)
 
 
@@ -338,6 +349,7 @@ class WordPoly:
         Each word's slot fillings are walked as a tree, so fillings that share
         a prefix share its fusion: a word with n slots and a two-term
         replacement costs about 2^(n+1) constant products instead of n 2^n.
+        A branch carries its pending constant on, interned only if it stays.
         """
         self._check_same(replacement)
         alg = self.alg
@@ -345,6 +357,8 @@ class WordPoly:
         if not replacement.terms:
             # Only the words without x survive, and they stay canonical and sorted.
             return WordPoly(alg, tuple(t for t in self.terms if x not in t[1]))
+        # A coefficient of 1 leaves the scale as it is, and builds no Fraction.
+        fills = [(None if c == 1 else c, w) for c, w in replacement.terms]
         raw: list[Term] = []
         for coeff, word in self.terms:
             segments: list[list[Factor]] = [[]]
@@ -353,15 +367,15 @@ class WordPoly:
                     segments.append([])
                 else:
                     segments[-1].append(f)
-            first = _extend(((), coeff), segments[0])
+            first = _extend(((), None, coeff), segments[0])
             stack = [(1, first)] if first is not None else []
             while stack:
-                i, (out, scale) = stack.pop()
+                i, (out, pending, scale) = stack.pop()
                 if i == len(segments):
-                    raw.append((scale, out or (Const(alg.one),)))
+                    raw.append((scale, _word(out, pending) or (Const(alg.one),)))
                     continue
-                for c, w in replacement.terms:
-                    state = _extend((out, scale * c), w)
+                for c, w in fills:
+                    state = _extend((out, pending, scale if c is None else scale * c), w)
                     if state is not None:
                         state = _extend(state, segments[i])
                     if state is not None:

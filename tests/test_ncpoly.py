@@ -1,16 +1,27 @@
 """Symbolic polynomial calculus: polarization derivatives and Taylor forms."""
 
+import contextlib
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_mul_kernels import kernel_algebras
+from test_taylor_reference import _extend as eager_extend
 
 from ncdr import maps, ncpoly
-from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra, mul, norm_float
+from ncdr.algebra import (
+    COMPLEX,
+    QUATERNIONS,
+    Element,
+    make_quaternion_algebra,
+    mul,
+    norm_float,
+)
 from ncdr.errors import AlgebraMismatch, DegreeTooLarge, RangeError, UnboundSymbol
 from ncdr.gateaux import gateaux
 from ncdr.ncpoly import (
@@ -620,6 +631,178 @@ def test_reconstruct_merges_like_build(inputs):
     in_h = WordPoly.build(alg, [w for term in t.terms for w in term.to_words("h").terms])
     assert t.reconstruct() == ncpoly_from_words(in_h.substitute("h", shift), "x")
     assert TaylorExpansion(y0, ()).reconstruct() == NCPoly(alg, ())
+
+
+def eager_build(alg, raw):
+    """WordPoly.build over the eager fusion, which interned every fused constant."""
+    fused = []
+    for coeff, word in raw:
+        if not coeff:
+            continue
+        state = eager_extend(((), Fraction(coeff)), word)
+        if state is not None:
+            out, scale = state
+            fused.append((scale, out or (Const(alg.one),)))
+    return WordPoly(alg, ncpoly._collect(fused))
+
+
+def eager_substitute(w, name, replacement):
+    """WordPoly.substitute's slot walk over the eager fusion."""
+    x = Var(name)
+    raw = []
+    for coeff, word in w.terms:
+        segments = [[]]
+        for f in word:
+            if f is x:
+                segments.append([])
+            else:
+                segments[-1].append(f)
+        first = eager_extend(((), coeff), segments[0])
+        stack = [(1, first)] if first is not None else []
+        while stack:
+            i, (out, scale) = stack.pop()
+            if i == len(segments):
+                raw.append((scale, out or (Const(w.alg.one),)))
+                continue
+            for c, fill in replacement.terms:
+                state = eager_extend((out, scale * c), fill)
+                if state is not None:
+                    state = eager_extend(state, segments[i])
+                if state is not None:
+                    stack.append((i + 1, state))
+    return WordPoly(w.alg, ncpoly._collect(raw))
+
+
+@st.composite
+def fusion_cases(draw):
+    """Raw words and a 1-3 term replacement over an algebra of the kernel tests.
+
+    Constants are zero, central scalars, signed units (in H[eps] the eps
+    units multiply to zero), general or float, the floats including zero and
+    values equal to exact ones.  Coefficients of the replacement include 1
+    and -1.
+    """
+    alg = draw(kernel_algebras)
+
+    def factor():
+        kind = draw(st.sampled_from(["x", "h", "zero", "scalar", "unit", "general", "float"]))
+        if kind in ("x", "h"):
+            return Var(kind)
+        if kind == "zero":
+            return Const(alg.zero)
+        if kind == "scalar":
+            return Const(alg.scalar(draw(small)))
+        if kind == "unit":
+            sign = draw(st.sampled_from([-1, 1]))
+            return Const(sign * alg.basis(draw(st.integers(0, alg.dim - 1))))
+        if kind == "general":
+            return Const(alg.element([draw(small) for _ in range(alg.dim)]))
+        floats = st.one_of(st.sampled_from([0.0, 0.5, -1.0, 2.0]), st.floats(-8, 8))
+        return Const(Element(alg, tuple(draw(floats) for _ in range(alg.dim))))
+
+    def words(coeffs, count, length):
+        return [(draw(coeffs), tuple(factor() for _ in range(draw(length))))
+                for _ in range(draw(count))]
+
+    raw = words(small, st.integers(0, 4), st.integers(0, 6))
+    units = st.sampled_from([Fraction(1), Fraction(-1)])
+    fill = words(st.one_of(units, units, small), st.integers(1, 3), st.integers(1, 3))
+    return alg, raw, fill
+
+
+@given(fusion_cases())
+@settings(max_examples=200, deadline=None)
+def test_fusion_matches_eager_fusion(case):
+    # Equal terms: equal scales, and words of the same interned factors.
+    alg, raw, fill = case
+    w = WordPoly.build(alg, raw)
+    assert w.terms == eager_build(alg, raw).terms
+    replacement = eager_build(alg, fill)
+    for name in ("x", "h"):
+        got = w.substitute(name, replacement).terms
+        assert got == eager_substitute(w, name, replacement).terms
+        assert all(type(c) is Fraction for c, _ in got)
+
+
+@contextlib.contextmanager
+def interned_consts():
+    """Weak references to the constants interned while the block runs.
+
+    Nothing is held, so the count is the walk's own: a constant freed and
+    made again is interned again.
+    """
+    made = []
+    intern = ncpoly._intern
+
+    def recording(cls, table, key, value):
+        obj = intern(cls, table, key, value)
+        if cls is Const:
+            made.append(weakref.ref(obj))
+        return obj
+
+    ncpoly._intern = recording
+    try:
+        yield made
+    finally:
+        ncpoly._intern = intern
+
+
+def factors_of(w):
+    return {f for _, word in w.terms for f in word}
+
+
+@st.composite
+def runs_of_constants(draw):
+    """A monomial with a base point, and a raw word of runs of constants,
+    over a division algebra, so no word vanishes after its constants fuse."""
+    alg = draw(st.sampled_from([H, COMPLEX, E]))
+
+    def constant():
+        kind = draw(st.sampled_from(["scalar", "unit", "general", "general"]))
+        if kind == "scalar":
+            return alg.scalar(draw(small.filter(bool)))
+        if kind == "unit":
+            return draw(st.sampled_from([-1, 1])) * alg.basis(draw(st.integers(0, alg.dim - 1)))
+        return alg.element([draw(small) for _ in range(alg.dim)])
+
+    p = NCPoly(alg, (Monomial(tuple(constant() for _ in range(draw(st.integers(1, 5))))),))
+    word = []
+    for _ in range(draw(st.integers(1, 4))):
+        word += [Const(constant()) for _ in range(draw(st.integers(0, 4)))] + [Var("x")]
+    return p, constant(), (Fraction(draw(st.integers(1, 3))), tuple(word))
+
+
+@given(runs_of_constants())
+@settings(max_examples=100, deadline=None)
+def test_walk_interns_only_the_constants_that_stay(case):
+    # The products a run of constants fuses on the way are never interned:
+    # each constant the walk interns is a factor of a word it returns.
+    p, y0, term = case
+    alg = y0.alg
+    w = p.to_words("x")
+    shift = WordPoly.variable(alg, "h") + WordPoly.constant(y0)
+    with interned_consts() as made:
+        built = WordPoly.build(alg, [term])
+    # A constant freed since is no factor of built.
+    assert all(ref() in factors_of(built) for ref in made)
+    with interned_consts() as made:
+        expanded = w.substitute("x", shift)
+    assert all(ref() in factors_of(expanded) for ref in made)
+
+
+def test_degree_six_round_trip_interns_few_constants():
+    # One taylor_poly(p, y0).reconstruct() of a fixed degree-6 monomial over
+    # H.  The eager fusion interned 787 constants, most of them products the
+    # next constant fused away at once.
+    rng = random.Random(20)
+    coeffs = [H.element([Fraction(rng.randint(-50, 50), 97) for _ in range(4)])
+              for _ in range(7)]
+    y0 = H.element([Fraction(rng.randint(-50, 50), 89) for _ in range(4)])
+    p = NCPoly(H, (Monomial(tuple(coeffs)),))
+    with interned_consts() as made:
+        back = taylor_poly(p, y0).reconstruct()
+    assert len(made) == 59
+    assert back == ncpoly_from_words(p.to_words(), "x")
 
 
 def test_taylor_of_zero_polynomial():

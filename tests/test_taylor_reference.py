@@ -8,10 +8,15 @@ fillings bucketed by how many slots took h and building each bucket again,
 and eval_poly ran its own left-to-right loop over the monomial form.  The
 new code must return the same records, print the same terms and evaluate
 to the same elements over H, C and E(a, b).
+
+_append and _extend are the eager constant fusion _fill_slots walked with,
+also kept unchanged: every fused constant entered the word as an interned
+factor at once.  ncpoly's fusion now holds a run's constant pending, and
+tests/test_ncpoly.py checks it against this one.
 """
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +28,7 @@ from ncdr.errors import AlgebraMismatch, DegreeTooLarge
 from ncdr.ncpoly import (
     MAX_TAYLOR_WORDS,
     Const,
+    Factor,
     Monomial,
     NCPoly,
     TaylorExpansion,
@@ -30,12 +36,48 @@ from ncdr.ncpoly import (
     Var,
     WordPoly,
     Word,
-    _extend,
+    _is_central_scalar,
     eval_poly,
     ncpoly_from_words,
     taylor_poly,
     word_eval,
 )
+
+
+def _append(out: Word, scale: Fraction, f: Factor) -> tuple[Word, Fraction] | None:
+    """One step of the canonical fusion: f appended to the canonical prefix out.
+
+    Central scalars fold into scale, a constant fuses with a constant before
+    it, and None means the word vanished.
+    """
+    if isinstance(f, Var):
+        return out + (f,), scale
+    v = f.value
+    central = _is_central_scalar(v)
+    if not central and out and isinstance(out[-1], Const):
+        v = mul(out[-1].value, v)
+        out = out[:-1]
+        central = _is_central_scalar(v)
+    if central:
+        num, den = v._ints
+        if num[0] != den:  # the unit leaves scale as it is
+            scale = Fraction(scale.numerator * num[0], scale.denominator * den)
+        return (out, scale) if scale else None
+    if v.is_zero():
+        return None
+    # Unfused, f is already the interned factor of v.
+    return out + (f if v is f.value else Const(v),), scale
+
+
+def _extend(
+    state: tuple[Word, Fraction], word: Iterable[Factor]
+) -> tuple[Word, Fraction] | None:
+    """The canonical fusion of state's prefix followed by word; None if it vanished."""
+    for f in word:
+        state = _append(*state, f)
+        if state is None:
+            return None
+    return state
 
 
 def _fill_slots(alg, coeff: Fraction, segments: Sequence[Word], fills: Sequence[Term]):
