@@ -763,7 +763,10 @@ def runs_of_constants(draw):
             return alg.scalar(draw(small.filter(bool)))
         if kind == "unit":
             return draw(st.sampled_from([-1, 1])) * alg.basis(draw(st.integers(0, alg.dim - 1)))
-        return alg.element([draw(small) for _ in range(alg.dim)])
+        # A zero constant would make its whole word vanish, after the runs
+        # before it were already interned.
+        coords = st.lists(small, min_size=alg.dim, max_size=alg.dim).filter(any)
+        return alg.element(draw(coords))
 
     p = NCPoly(alg, (Monomial(tuple(constant() for _ in range(draw(st.integers(1, 5))))),))
     word = []
