@@ -1,10 +1,10 @@
 """Vector spaces over a division algebra with twin (left/right) scalar actions.
 
 Matrices of algebra elements multiply with the left factor first; a square
-matrix over an n-dimensional algebra is inverted by embedding every entry
-into its n x n rational left-action block, inverting the block matrix
-exactly, and reading the blocks back.  Maps between spaces are two-sided
-component sums; a 1 x 1 one converts to standard components.
+matrix is inverted by Gauss-Jordan over D, or, at a column with no
+invertible pivot, through its rational block embedding.  Maps between
+spaces are two-sided component sums; a 1 x 1 one converts to standard
+components.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from .algebra import (
     _read_json,
     element_from_strings,
     element_to_strings,
+    inverse,
     mul,
 )
-from .errors import DimensionMismatch, NotQuaternionBlock
+from .errors import DimensionMismatch, NotInvertible, NotQuaternionBlock, Singular, WrongDimension
 from .linmap import StdComponents, embed_matrix
 
 
@@ -33,7 +34,7 @@ def _common_algebra(entries: Iterable[Element]) -> AlgebraSpec:
     for e in entries:
         if alg is None:
             alg = e.alg
-        elif e.alg != alg:
+        elif e.alg is not alg and e.alg != alg:
             raise DimensionMismatch("entries span different algebras")
     if alg is None:
         raise DimensionMismatch("empty container has no algebra")
@@ -95,25 +96,24 @@ class DMatrix:
         inner2, cols = other.shape
         if inner != inner2:
             raise DimensionMismatch("inner dimensions differ")
-        alg = self.alg
         out = []
         for i in range(rows):
             row = []
             for j in range(cols):
-                acc = alg.zero
-                for k in range(inner):
+                acc = mul(self.entries[i][0], other.entries[0][j])
+                for k in range(1, inner):
                     acc = acc + mul(self.entries[i][k], other.entries[k][j])
                 row.append(acc)
             out.append(tuple(row))
         return DMatrix(tuple(out))
 
     def apply(self, v: DVector) -> DVector:
-        rows, cols = self.shape
+        cols = self.shape[1]
         if len(v) != cols:
             raise DimensionMismatch("vector length does not match matrix")
         return DVector(tuple(
-            sum((mul(self.entries[i][k], v[k]) for k in range(cols)), self.alg.zero)
-            for i in range(rows)
+            sum((mul(row[k], v[k]) for k in range(1, cols)), mul(row[0], v[0]))
+            for row in self.entries
         ))
 
     def to_json(self) -> str:
@@ -140,25 +140,56 @@ def lin_comb(a: Element, v: DVector, b: Element, c: Element, w: DVector, d: Elem
 def dmatrix_inverse(A: DMatrix) -> DMatrix:
     """Two-sided inverse of a square matrix over an n-dimensional algebra.
 
-    Embeds entrywise into a rational nr x nr block matrix M, inverts it
-    exactly (Singular if it cannot), and reads each block's entry off its
-    first column.  The result B is checked once, as B @ A == I over D, which
-    holds exactly when every block of M^-1 is the left-action matrix of its
-    entry; NotQuaternionBlock reports a failure (impossible for valid input).
+    Gauss-Jordan over D on [A | I], multiplying rows on the left, pivots on
+    the first entry at or below the diagonal that `inverse` accepts; a
+    column that is zero there raises Singular.  A column whose nonzero
+    entries all fail to invert (zero divisors; no conjugation) falls back to
+    inverting A's rational nr x nr block embedding.  B is checked once, as
+    B @ A == I over D (NotQuaternionBlock otherwise: impossible for valid
+    input).  Exact entries only: a float entry raises TypeError.
     """
     r, cols = A.shape
     if r != cols:
         raise DimensionMismatch("only square matrices invert")
-    alg = A.alg
-    n = alg.dim
-    blocks = [[embed_matrix(e).mat for e in row] for row in A.entries]
-    big = [[v for block in brow for v in block[bi]] for brow in blocks for bi in range(n)]
-    inv = exactla.inverse(big)  # Singular propagates
-    B = DMatrix(tuple(tuple(alg.element([inv[n * i + bi][n * j] for bi in range(n)])
-                            for j in range(r)) for i in range(r)))
-    if B @ A != DMatrix.identity(alg, r):
-        raise NotQuaternionBlock("the inverse's blocks are not left-action matrices")
+    if any(e._ints is None for row in A.entries for e in row):
+        raise TypeError("dmatrix_inverse takes exact entries only")
+    eye = DMatrix.identity(A.alg, r)
+    B = _gauss_jordan(A, eye)
+    if B is None:
+        n = A.alg.dim
+        blocks = [[embed_matrix(e).mat for e in row] for row in A.entries]
+        big = [[v for block in brow for v in block[bi]] for brow in blocks for bi in range(n)]
+        inv = exactla.inverse(big)  # Singular propagates
+        B = DMatrix(tuple(tuple(A.alg.element([inv[n * i + bi][n * j] for bi in range(n)])
+                                for j in range(r)) for i in range(r)))
+    if B @ A != eye:
+        raise NotQuaternionBlock("the inverse fails its check B @ A == I")
     return B
+
+
+def _gauss_jordan(A: DMatrix, eye: DMatrix) -> DMatrix | None:
+    """A's inverse over D; None at a column with no invertible pivot."""
+    r = len(A.entries)
+    rows = [list(a + e) for a, e in zip(A.entries, eye.entries)]
+    for c in range(r):
+        for p in range(c, r):
+            try:  # zero has zero norm
+                x = inverse(rows[p][c])
+                break
+            except (NotInvertible, WrongDimension):
+                pass
+        else:
+            if any(rows[p][c] for p in range(c, r)):
+                return None
+            raise Singular("a column is a right-combination of the columns before it")
+        rows[c], rows[p] = rows[p], rows[c]
+        top = rows[c]
+        top[c + 1:] = [mul(x, t) if t else t for t in top[c + 1:]]  # columns <= c: read no more
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != c and f:
+                row[c + 1:] = [y - mul(f, t) if t else y for y, t in zip(row[c + 1:], top[c + 1:])]
+    return DMatrix(tuple(tuple(row[r:]) for row in rows))
 
 
 @dataclass(frozen=True)

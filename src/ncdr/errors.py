@@ -41,7 +41,7 @@ class Singular(NcdrError):
 
 
 class NotQuaternionBlock(NcdrError):
-    """An n x n rational block does not match the left-multiplication pattern."""
+    """A D-matrix inverse B fails its check B @ A == I."""
 
 
 class NotRepresentable(NcdrError):

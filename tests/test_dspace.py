@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_general_algebras import NO_UNIT_PIVOT
 
-from ncdr import exactla
+from ncdr import dspace, exactla
 from ncdr.algebra import QUATERNIONS, mul
 from ncdr.dspace import (
     ComponentMap,
@@ -87,20 +88,32 @@ def test_dmatrix_inverse_singular():
 
 
 def test_wrong_inverse_is_not_a_quaternion_block(monkeypatch):
-    true_inverse = exactla.inverse
+    # Both routes are forged: a wrong pivot inverse over D, and one entry off
+    # in the first column of block (0, 0) of the block embedding's inverse,
+    # which is then no left-action matrix and reads a wrong entry.  Either
+    # way the result fails its check B @ A == I.
+    true_pivot_inverse, true_inverse = dspace.inverse, exactla.inverse
+
+    def forged_pivot_inverse(x):
+        return true_pivot_inverse(x) + ONE
 
     def forged(M):
-        # One entry off in the first column of block (0, 0): that block is no
-        # left-action matrix, and the entry it reads is wrong.
         inv = true_inverse(M)
         inv[1][0] += 1
         return inv
 
     A = DMatrix(((ONE + I, J), (K, ONE)))
     assert dmatrix_inverse(A) @ A == DMatrix.identity(H, 2)
+    with monkeypatch.context() as m:
+        m.setattr(dspace, "inverse", forged_pivot_inverse)
+        with pytest.raises(NotQuaternionBlock):
+            dmatrix_inverse(A)
+
+    # No entry of either column inverts in split E(1, 1): the fallback runs.
+    assert dmatrix_inverse(NO_UNIT_PIVOT) == NO_UNIT_PIVOT
     monkeypatch.setattr(exactla, "inverse", forged)
     with pytest.raises(NotQuaternionBlock):
-        dmatrix_inverse(A)
+        dmatrix_inverse(NO_UNIT_PIVOT)
 
 
 def test_dual_basis():

@@ -4,9 +4,10 @@ exactla.inverse reads eliminate_square, min_norm_solution is the
 pseudo-inverse times b, coord_to_std multiplies by big_c's cached
 pseudo-inverse without eliminating at all, kernel_rank reads rank and
 witness off one nullspace, and dmatrix_inverse checks its result once, as
-B @ A == I over D.  The compositions they replaced
-are kept here as references: results must be equal, entry types included,
-on H, C and E(a, b), split algebras included.  Counting wrappers pin the
+B @ A == I over D.  The compositions they replaced, and the block
+embedding that dmatrix_inverse now uses only at a column with no invertible
+pivot, are kept here as references: results must be equal, entry types
+included, on H, C and E(a, b), split algebras included.  Counting wrappers pin the
 number of eliminations and embeddings.
 """
 
@@ -17,11 +18,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_exactla import matrices
-from test_general_algebras import block_matrix, dmatrices, elements, std_maps
-from test_mul_kernels import algebras
+from test_general_algebras import (
+    IDEMPOTENT,
+    NO_UNIT_PIVOT,
+    SPLIT,
+    block_matrix,
+    dmatrices,
+    elements,
+    std_maps,
+)
+from test_mul_kernels import DUAL_H, algebras
 
 from ncdr import dspace, exactla
-from ncdr.algebra import COMPLEX, QUATERNIONS
+from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra, mul
 from ncdr.dspace import DMatrix, dmatrix_inverse
 from ncdr.errors import NotQuaternionBlock, Singular
 from ncdr.linmap import (
@@ -120,6 +129,46 @@ def test_inverse_and_dmatrix_inverse_match_references(A):
                 assert_exact(e)
 
 
+@st.composite
+def square_dmatrices(draw):
+    """r x r matrices over H, C, E(-3/2, 5/7), split E(1, 1) and H[eps], r = 1-4
+    (1-2 over H[eps]).  Zero entries, zero divisors x*e in E(1, 1), and a
+    last row that is a left-combination of the rows above are drawn often."""
+    alg = draw(st.sampled_from([QUATERNIONS, COMPLEX, make_quaternion_algebra(Fraction(-3, 2),
+                                Fraction(5, 7)), SPLIT, DUAL_H]))
+    r = draw(st.integers(1, 2 if alg is DUAL_H else 4))
+
+    def entry():
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            return alg.zero
+        x = draw(elements(alg))
+        return mul(x, IDEMPOTENT) if kind == 1 and alg is SPLIT else x
+
+    rows = [[entry() for _ in range(r)] for _ in range(r)]
+    if r > 1 and draw(st.booleans()):
+        cs = [entry() for _ in range(r - 1)]
+        rows[-1] = [sum((mul(c, row[j]) for c, row in zip(cs, rows)), alg.zero) for j in range(r)]
+    return DMatrix(tuple(map(tuple, rows)))
+
+
+@given(square_dmatrices())
+@settings(max_examples=150, deadline=None)
+def test_dmatrix_inverse_matches_block_embedding(A):
+    got = outcome(dmatrix_inverse, A)
+    assert got == outcome(reference_dmatrix_inverse, A)
+    if got is not Singular:
+        for row in got.entries:
+            for e in row:
+                assert_exact(e)
+
+
+def test_dmatrix_inverse_without_invertible_pivots():
+    assert dmatrix_inverse(NO_UNIT_PIVOT) == NO_UNIT_PIVOT
+    with pytest.raises(Singular):
+        dmatrix_inverse(DMatrix(((IDEMPOTENT, SPLIT.zero), (SPLIT.zero, SPLIT.one))))
+
+
 @given(algebras.flatmap(lambda alg: st.tuples(std_maps(alg), std_maps(alg))))
 @settings(max_examples=100, deadline=None)
 def test_min_norm_solution_matches_reference_on_big_c(fg):
@@ -212,6 +261,9 @@ def test_one_elimination_per_operation(calls):
         assert kernel_rank(m).rank == rank
         assert calls["eliminations"] == 1
 
+    # Over H every pivot inverts: Gauss-Jordan over D, no embedding.  The
+    # fallback, at a column with no invertible entry, embeds every entry
+    # and eliminates once.
     H = QUATERNIONS
     for r in (1, 2, 3):
         A = DMatrix(tuple(tuple(H.element([1 + (i == j), i, j, 1]) for j in range(r))
@@ -219,4 +271,7 @@ def test_one_elimination_per_operation(calls):
         calls.clear()
         B = dmatrix_inverse(A)
         assert B @ A == DMatrix.identity(H, r)
-        assert calls == {"embeddings": r * r, "eliminations": 1}
+        assert (calls["embeddings"], calls["eliminations"]) == (0, 0)
+    calls.clear()
+    assert dmatrix_inverse(NO_UNIT_PIVOT) == NO_UNIT_PIVOT
+    assert (calls["embeddings"], calls["eliminations"]) == (4, 1)

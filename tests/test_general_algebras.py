@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from test_mul_kernels import algebras
 
 from ncdr import exactla
-from ncdr.algebra import COMPLEX, mul
+from ncdr.algebra import COMPLEX, make_quaternion_algebra, mul
 from ncdr.dspace import DMatrix, dmatrix_inverse
 from ncdr.errors import Singular
 from ncdr.linmap import (
@@ -25,6 +25,11 @@ from ncdr.linmap import (
 )
 
 scalars = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+SPLIT = make_quaternion_algebra(1, 1)
+IDEMPOTENT = SPLIT.element([Fraction(1, 2), Fraction(1, 2), 0, 0])  # e = (1 + i)/2, e(1 - e) = 0
+# No entry of either column inverts; the matrix is its own inverse.
+NO_UNIT_PIVOT = DMatrix(((IDEMPOTENT, SPLIT.one - IDEMPOTENT),
+                         (SPLIT.one - IDEMPOTENT, IDEMPOTENT)))
 
 
 def elements(alg):

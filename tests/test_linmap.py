@@ -6,10 +6,18 @@ import types
 from fractions import Fraction
 
 import pytest
+from test_general_algebras import IDEMPOTENT, NO_UNIT_PIVOT, SPLIT
 
 from ncdr import closed_forms, exactla, linmap
 from ncdr.algebra import COMPLEX, QUATERNIONS, make_quaternion_algebra
-from ncdr.dspace import ComponentMap, DVector, apply_component_map, component_sum_to_std
+from ncdr.dspace import (
+    ComponentMap,
+    DMatrix,
+    DVector,
+    apply_component_map,
+    component_sum_to_std,
+    dmatrix_inverse,
+)
 from ncdr.errors import AlgebraMismatch, DimensionMismatch, NotRepresentable, Singular
 from ncdr.linmap import (
     CoordMatrix,
@@ -303,7 +311,12 @@ FLOAT_GRID = tuple(tuple(0.5 + (i == j) for j in range(4)) for i in range(4))
     lambda m, f: m @ m,
     lambda m, f: kernel_rank(m),
     lambda m, f: change_basis(m, CoordMatrix.identity(H)),
-], ids=["compose_std", "coord_to_std", "matmul", "kernel_rank", "change_basis"])
+    # One float entry, on the route over D and on the block-embedding route.
+    lambda m, f: dmatrix_inverse(DMatrix(((H.one, H.zero), (H.zero, H.one.to_float())))),
+    lambda m, f: dmatrix_inverse(DMatrix((NO_UNIT_PIVOT.entries[0],
+                                          (SPLIT.one - IDEMPOTENT, IDEMPOTENT.to_float())))),
+], ids=["compose_std", "coord_to_std", "matmul", "kernel_rank", "change_basis",
+        "dmatrix_inverse", "dmatrix_inverse_fallback"])
 def test_exact_entry_points_reject_floats(call):
     with pytest.raises(TypeError):
         call(CoordMatrix(H, FLOAT_GRID), StdComponents(H, FLOAT_GRID))
