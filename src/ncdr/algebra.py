@@ -478,15 +478,6 @@ def inverse(x: Element) -> Element:
     return _times(c, s * ints[1], s * n)
 
 
-def rotate(q: Element, p: Element) -> Element:
-    """Inner automorphism p -> q p q^{-1}.
-
-    For unit q = cos(t) + u sin(t) with pure unit u this rotates the pure
-    vector p about u through angle 2t; the norm of p is preserved.
-    """
-    return mul(mul(q, p), inverse(q))
-
-
 def norm_float(x: Element) -> float:
     """Euclidean length of the coordinate vector, for float tolerance checks."""
     return math.sqrt(sum(c * c for c in _float_coords(x)))

@@ -125,18 +125,6 @@ class DMatrix:
             tuple(tuple(element_from_strings(alg, e) for e in row) for row in grid)))
 
 
-def lin_comb(a: Element, v: DVector, b: Element, c: Element, w: DVector, d: Element) -> DVector:
-    """Entrywise a*v_k*b + c*w_k*d, the two-sided linear combination."""
-    if len(v) != len(w):
-        raise DimensionMismatch("vector lengths differ")
-    return DVector(
-        tuple(
-            mul(mul(a, vk), b) + mul(mul(c, wk), d)
-            for vk, wk in zip(v.entries, w.entries)
-        )
-    )
-
-
 def dmatrix_inverse(A: DMatrix) -> DMatrix:
     """Two-sided inverse of a square matrix over an n-dimensional algebra.
 

@@ -84,14 +84,6 @@ class NonConvergent(NcdrError):
         self.step = step
 
 
-class ZeroDirection(NcdrError):
-    """Directional D*/\\*D derivative undefined along a null direction."""
-
-
-class IndexOutOfRange(NcdrError):
-    """Argument slot index outside the map's arity."""
-
-
 class UnboundSymbol(NcdrError):
     """Word evaluation hit a variable with no binding."""
 

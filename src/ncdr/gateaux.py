@@ -2,9 +2,9 @@
 
 The limit t^-1 (f(x + t a) - f(x)) is discretized by central differences with
 Richardson extrapolation; everything here runs in float coordinates.  The
-directional value is scalar-linear in the direction, so Jacobians, operator
-norms and reconstructed standard components all reduce to repeated calls of
-the same engine along basis directions.
+directional value is scalar-linear in the direction, so Jacobians and
+reconstructed standard components reduce to repeated calls of the same
+engine along basis directions.
 
 There is one engine with one fixed step schedule: LEVELS central differences
 at steps BASE_STEP / RATIO^k, extrapolated in t^2, and one fixed relative
@@ -12,12 +12,11 @@ tolerance REL_TOL for its convergence test.  The zero direction takes the
 general path: its samples f(x) - f(x) are 0, so it returns 0 with error 0.0
 where f is defined and finite at x, and raises what f raises where it is not.
 
-The samples and the Neville table are plain lists of Python floats, one
-float operation per coordinate.  numpy holds only the Jacobian array, its
-SVD and the sampled norm; the least-squares solve multiplies by big_c's
-exact pseudo-inverse in floats.  A derivative whose extrapolants or error
-estimate are NaN or infinite raises NonConvergent instead of passing as a
-value.
+The samples, the Neville table and the Jacobian's rows are plain Python
+floats, one float operation per coordinate; the least-squares solve
+multiplies by big_c's exact pseudo-inverse in floats.  A derivative whose
+extrapolants or error estimate are NaN or infinite raises NonConvergent
+instead of passing as a value.
 """
 
 from __future__ import annotations
@@ -27,18 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
-from .algebra import AlgebraSpec, Element, _float_coords, _float_element, inverse, mul
-from .algebra import norm_float, norm_sq
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NcdrError,
-    NonConvergent,
-    NotRepresentable,
-    ZeroDirection,
-)
+from .algebra import AlgebraSpec, Element, _float_coords, _float_element, mul, norm_float
+from .errors import DimensionMismatch, NcdrError, NonConvergent, NotRepresentable
 from .linmap import CoordMatrix, StdComponents, StdSolution, big_c, coord_to_std
 from .linmap import _float_rows_vec, _square
 
@@ -61,8 +50,6 @@ SECOND_ORDER_TOL = 1e-6
 SNAP_DENOMINATOR = 64
 SNAP_TOL = 1e-7
 LSTSQ_RESIDUAL_TOL = 1e-6
-#: Random unit directions that cross-check differential_norm's singular value.
-NORM_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -76,11 +63,7 @@ class MapEvaluator:
 
     @classmethod
     def unary(cls, alg: AlgebraSpec, f: Callable[[Element], Element]) -> "MapEvaluator":
-        return cls.nary(alg, 1, f)
-
-    @classmethod
-    def nary(cls, alg: AlgebraSpec, arity: int, f: Callable[..., Element]) -> "MapEvaluator":
-        return cls(alg, arity, f)
+        return cls(alg, 1, f)
 
     def __call__(self, args: tuple[Element, ...]) -> Element:
         return self.fn(*args)
@@ -168,37 +151,6 @@ def gateaux(f: MapEvaluator, x: Point, a: Point) -> Element:
     return gateaux_with_error(f, x, a)[0]
 
 
-def _require_scalar_map(f: MapEvaluator) -> None:
-    if f.arity != 1:
-        raise DimensionMismatch("directional-ratio derivatives need a map D -> D")
-
-
-def dstar(f: MapEvaluator, x: Element, a: Element) -> Element:
-    """Left-extracted derivative a^{-1} * df(x)(a); constant on real rays."""
-    _require_scalar_map(f)
-    a = a.to_float()
-    if not norm_sq(a):
-        raise ZeroDirection("derivative undefined along a direction of zero norm")
-    return mul(inverse(a), gateaux(f, x, a))
-
-
-def star_d(f: MapEvaluator, x: Element, a: Element) -> Element:
-    """Right-extracted derivative df(x)(a) * a^{-1}."""
-    _require_scalar_map(f)
-    a = a.to_float()
-    if not norm_sq(a):
-        raise ZeroDirection("derivative undefined along a direction of zero norm")
-    return mul(gateaux(f, x, a), inverse(a))
-
-
-def partial_gateaux(f: MapEvaluator, x: Sequence[Element], i: int, h: Element) -> Element:
-    """Directional derivative perturbing only argument slot i."""
-    if not 0 <= i < f.arity:
-        raise IndexOutOfRange(f"slot {i} outside arity {f.arity}")
-    direction = tuple(h if k == i else f.alg.zero for k in range(f.arity))
-    return gateaux(f, tuple(x), direction)
-
-
 def second_gateaux(f: MapEvaluator, x: Element, a1: Element, a2: Element) -> Element:
     """Iterated derivative d(df(x)(a1))(a2) by nested central differences.
 
@@ -226,9 +178,9 @@ def mixed_partial_residual(f: MapEvaluator, x: Element, a1: Element, a2: Element
     return norm_float(d12 - d21)
 
 
-def jacobian(f: MapEvaluator, x: Point) -> np.ndarray:
-    """Real Jacobian: entry (j, i) is the derivative of output coordinate j
-    with respect to input coordinate i, by central differences."""
+def jacobian(f: MapEvaluator, x: Point) -> tuple[tuple[float, ...], ...]:
+    """Real Jacobian as float rows: entry (j, i) is the derivative of output
+    coordinate j with respect to input coordinate i, by central differences."""
     xt = _float_point(f, x)
     n_in = f.alg.dim
     zero = _float_element(f.alg, (0.0,) * n_in)
@@ -240,7 +192,7 @@ def jacobian(f: MapEvaluator, x: Point) -> np.ndarray:
             direction = tuple(unit if k == slot else zero for k in range(f.arity))
             col, _ = _directional(f, xt, direction)
             cols.append(col)
-    return np.array(list(zip(*cols)))
+    return tuple(zip(*cols))
 
 
 def differential_std_components(f: MapEvaluator, x: Element) -> StdSolution:
@@ -251,10 +203,11 @@ def differential_std_components(f: MapEvaluator, x: Element) -> StdSolution:
     components are big_c's pseudo-inverse times vec(J) in floats, and the
     residual max |mat x - vec(J)| decides representability at LSTSQ_RESIDUAL_TOL.
     """
-    _require_scalar_map(f)
+    if f.arity != 1:
+        raise DimensionMismatch("standard components need a map D -> D")
     alg = f.alg
     n = alg.dim
-    b = jacobian(f, x).ravel().tolist()
+    b = [v for row in jacobian(f, x) for v in row]
     snapped = [Fraction(v).limit_denominator(SNAP_DENOMINATOR) for v in b]
     if all(abs(float(s) - v) <= SNAP_TOL for s, v in zip(snapped, b)):
         return coord_to_std(CoordMatrix(alg, _square(snapped, n)))
@@ -286,23 +239,3 @@ def verify_chain_rule(g: MapEvaluator, f: MapEvaluator, x: Element, a: Element) 
     rhs = gateaux(g, f((x,)), gateaux(f, x, a))
     return norm_float(lhs - rhs)
 
-
-def differential_norm(f: MapEvaluator, x: Element) -> float:
-    """Operator norm of the differential: the Jacobian's top singular value.
-
-    Cross-checked against a sampled supremum over random unit directions;
-    the Euclidean coordinate norm makes the singular value exact.
-    """
-    jac = jacobian(f, x)
-    sigma = float(np.linalg.svd(jac, compute_uv=False)[0])
-    rng = np.random.default_rng(12345)
-    dirs = rng.normal(size=(NORM_SAMPLES, jac.shape[1]))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    sampled = float(np.max(np.linalg.norm(dirs @ jac.T, axis=1)))
-    if sampled > sigma + 1e-6:
-        raise NonConvergent(
-            f"sampled direction norm {sampled:.9f} exceeds singular value {sigma:.9f}",
-            error=sampled - sigma,
-            scale=sigma,
-        )
-    return sigma

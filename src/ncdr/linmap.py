@@ -12,9 +12,9 @@ plus a membership check when mat is singular; compose_std and embed_matrix sum
 numerators over the structure triples, and CoordMatrix.apply multiplies an
 exact element's numerators by integer rows.  Only final entries are Fractions.
 
-CoordMatrix.apply and @, embed_matrix, coord_to_std, compose_std, kernel_rank
-and change_basis take exact scalars only; each raises TypeError on a float
-element or float-entry matrix.  std_to_coord also takes float components
+CoordMatrix.apply and @, embed_matrix, coord_to_std and compose_std take
+exact scalars only; each raises TypeError on a float element or float-entry
+matrix.  std_to_coord also takes float components
 (least-squares differentials).  _float_rows_vec multiplies big_c's integer
 rows with a float vector, adding float(entry) * v[c] over each row's nonzero
 entries in column order: std_to_coord runs it over mat_rows, and the numeric
@@ -31,12 +31,7 @@ from typing import Sequence
 
 from . import exactla
 from .algebra import AlgebraSpec, Element, ScalarLike, _read_json, _reduced, as_scalar, mul
-from .errors import (
-    AlgebraMismatch,
-    DimensionMismatch,
-    NotRepresentable,
-    Singular,
-)
+from .errors import AlgebraMismatch, DimensionMismatch, NotRepresentable
 
 Grid = tuple[tuple[Fraction, ...], ...]
 
@@ -281,28 +276,3 @@ def compose_std(g: StdComponents, f: StdComponents) -> StdComponents:
                 acc[p * n + r] += v * c1 * c2
     return StdComponents(alg, _square([Fraction(v, gd * fd * den * den) for v in acc], n))
 
-
-@dataclass(frozen=True)
-class KernelInfo:
-    rank: int
-    is_singular: bool
-    kernel_vector: Element | None
-
-
-def kernel_rank(m: CoordMatrix) -> KernelInfo:
-    """Rank of the coordinate matrix, n less its kernel's dimension, and a
-    kernel witness when singular: both from one elimination."""
-    basis = exactla.nullspace(m.mat)
-    witness = m.alg.element(basis[0]) if basis else None
-    return KernelInfo(rank=m.alg.dim - len(basis), is_singular=bool(basis), kernel_vector=witness)
-
-
-def change_basis(m: CoordMatrix, A: Sequence[Sequence[ScalarLike]] | CoordMatrix) -> CoordMatrix:
-    """Coordinate matrix in the basis e'_i = e_j A^j_i: f' = A^{-1} f A."""
-    if not isinstance(A, CoordMatrix):
-        A = CoordMatrix.from_rows(m.alg, A)
-    try:
-        Ainv = exactla.inverse(A.mat)
-    except Singular:
-        raise Singular("basis transformation must be invertible") from None
-    return CoordMatrix.from_rows(A.alg, Ainv) @ m @ A

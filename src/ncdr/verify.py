@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from . import closed_forms, maps
 from .algebra import (
     COMPLEX,
@@ -31,7 +29,16 @@ from .algebra import (
     norm_float,
     norm_sq,
 )
-from .dspace import DMatrix, dmatrix_inverse
+from .dspace import (
+    ComponentMap,
+    DMatrix,
+    DVector,
+    apply_component_map,
+    component_sum_to_std,
+    compose_component_maps,
+    dmatrix_inverse,
+    shift_components,
+)
 from .errors import AxiomViolated, NoSolution, NotRepresentable, RangeError, Singular
 from .gateaux import (
     MapEvaluator,
@@ -281,7 +288,9 @@ def check_derivative_table(rng: random.Random) -> tuple[bool, str]:
 def check_conjugation_differential(rng: random.Random) -> tuple[bool, str]:
     point = random_rational_element(rng)
     jac = jacobian(maps.conjugate(H), point)
-    gap = float(np.max(np.abs(jac - np.diag([1.0, -1.0, -1.0, -1.0]))))
+    signs = (1.0, -1.0, -1.0, -1.0)
+    gap = max(abs(v - (signs[i] if i == j else 0.0))
+              for j, row in enumerate(jac) for i, v in enumerate(row))
     if gap > 1e-10:
         return False, f"Jacobian off by {gap:.2e}"
     sol = differential_std_components(maps.conjugate(H), point)
@@ -468,8 +477,9 @@ def check_dual_basis_twin(rng: random.Random) -> tuple[bool, str]:
         except Singular:
             continue
         count += 1
-        if (B @ A) != DMatrix.identity(H, 2):
-            return False, "dual basis does not left-invert"
+        # dmatrix_inverse checked B @ A == I; the right inverse is the other half.
+        if (A @ B) != DMatrix.identity(H, 2):
+            return False, "dual basis does not right-invert"
     for _ in range(100):
         a, m, b = (random_rational_element(rng) for _ in range(3))
         v = random_rational_element(rng)
@@ -493,6 +503,43 @@ def check_negative_control(rng: random.Random) -> tuple[bool, str]:
         return True, "corrupted table rejected at construction"
 
 
+def _random_component_map(rng: random.Random, rows: int, cols: int) -> ComponentMap:
+    """A map D^cols -> D^rows with one or two (u, v) pairs per cell."""
+    return ComponentMap(H, tuple(
+        tuple(tuple((random_rational_element(rng), random_rational_element(rng))
+                    for _ in range(rng.randint(1, 2))) for _ in range(cols))
+        for _ in range(rows)))
+
+
+def _random_dvector(rng: random.Random) -> DVector:
+    return DVector((random_rational_element(rng), random_rational_element(rng)))
+
+
+def check_component_maps(rng: random.Random) -> tuple[bool, str]:
+    for _ in range(10):
+        A, B = _random_component_map(rng, 2, 2), _random_component_map(rng, 2, 2)
+        v = _random_dvector(rng)
+        if apply_component_map(compose_component_maps(B, A), v) != apply_component_map(
+            B, apply_component_map(A, v)
+        ):
+            return False, "composed map differs from the maps applied in turn"
+    for _ in range(10):
+        M = _random_component_map(rng, 2, 2)
+        a, b = random_rational_element(rng), random_rational_element(rng)
+        v = _random_dvector(rng)
+        inner = DVector(tuple(mul(mul(a, e), b) for e in v.entries))
+        if apply_component_map(shift_components(M, a, b), v) != apply_component_map(M, inner):
+            return False, "shifted components differ from x -> M(a*x*b)"
+    for _ in range(10):
+        M = _random_component_map(rng, 1, 1)
+        # Column i of the coordinate matrix is M(e_i).
+        cols = [apply_component_map(M, DVector((H.basis(i),)))[0].coords for i in range(4)]
+        sol = coord_to_std(CoordMatrix.from_rows(H, list(zip(*cols))))
+        if not sol.unique or component_sum_to_std(M) != sol.components:
+            return False, "component sum disagrees with coord_to_std"
+    return True, "10 compositions, 10 shifts, 10 std conversions, exact"
+
+
 CHECKS: list[tuple[str, Callable[[random.Random], tuple[bool, str]]]] = [
     ("01-algebra-axioms", check_algebra_axioms),
     ("02-conversion-round-trip", check_conversion),
@@ -509,6 +556,7 @@ CHECKS: list[tuple[str, Callable[[random.Random], tuple[bool, str]]]] = [
     ("13-euler-homogeneity", check_euler),
     ("14-dual-basis-twin", check_dual_basis_twin),
     ("15-negative-control", check_negative_control),
+    ("16-component-maps", check_component_maps),
 ]
 
 

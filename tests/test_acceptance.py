@@ -18,6 +18,7 @@ Criteria map one-to-one onto the named checks of the shared verify registry
   13 Euler identity at 1e-7                                 -> 13
   14 dual basis and twin associativity, exact               -> 14
   +  negative control: corrupted table must be rejected     -> 15
+  +  D-vector-space morphisms: compose, shift, std, exact    -> 16
 """
 
 import pytest

@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import json
-import math
 import pickle
 import random
 import subprocess
@@ -24,7 +23,6 @@ from ncdr.algebra import (
     make_quaternion_algebra,
     mul,
     norm_sq,
-    rotate,
 )
 from ncdr.errors import (
     AlgebraMismatch,
@@ -212,16 +210,6 @@ def test_embed_matrix_pattern_complex():
     assert embed_matrix(i) @ embed_matrix(i) == embed_matrix(-C.one)
 
 
-def test_rotate_examples():
-    assert rotate(ONE, I) == I
-    s = math.sin(math.pi / 4)
-    q = H.element([math.cos(math.pi / 4), 0.0, 0.0, s])
-    r = rotate(q, I.to_float())
-    # Rotation about k through pi/2 carries i to j.
-    for got, want in zip(r.coords, (0.0, 0.0, 1.0, 0.0)):
-        assert abs(got - want) < 1e-12
-
-
 @given(quaternions, quaternions)
 @settings(max_examples=60)
 def test_norm_is_multiplicative(x, y):
@@ -252,16 +240,6 @@ def test_embedding_is_a_ring_homomorphism(x, y):
         for ra, rb in zip(embed_matrix(x).mat, embed_matrix(y).mat)
     )
     assert embed_matrix(x + y).mat == sum_rows
-
-
-@given(quaternions, quaternions)
-@settings(max_examples=40)
-def test_rotation_preserves_norm(q, p):
-    if norm_sq(q) == 0:
-        return
-    pure = H.element([0, *p.coords[1:]])
-    assert norm_sq(rotate(q, pure)) == norm_sq(pure)
-    assert rotate(q, pure).coords[0] == 0
 
 
 def test_json_round_trip():

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -262,6 +265,29 @@ def test_verify_all_json_and_determinism(capsys):
     code2, out2, _ = run(capsys, "verify", "all", "--seed", "7", "--json")
     pattern2 = [(c["name"], c["status"]) for c in json.loads(out2)["checks"]]
     assert pattern == pattern2
+
+
+NO_NUMPY_SCRIPT = """
+import sys
+import ncdr
+from ncdr import cli
+seen = ["numpy" in sys.modules]
+cli.main(["verify", "all", "--seed", "42"])
+seen.append("numpy" in sys.modules)
+cli.main(["diff", "jacobian", "--map", "inverse", "--at", "1+2i-j+1/3k"])
+seen.append("numpy" in sys.modules)
+print(*seen, file=sys.stderr)
+"""
+
+
+def test_library_and_cli_import_no_numpy():
+    # numpy is a test dependency only: a fresh import, verify all and a
+    # numeric command all run without it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.split() == ["False", "False", "False"]
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,7 +1,10 @@
-"""The symbolic commands' output, pinned byte for byte.
+"""The symbolic and numeric commands' output, pinned byte for byte.
 
-`poly taylor`, `poly derive` and `ode solve` over H and C, as text and as
-JSON: each command's exit code, stdout and stderr must match cli_golden.json.
+`poly taylor`, `poly derive`, `ode solve`, `diff jacobian` and
+`diff std-components` over H and C, as text and as JSON: each command's exit
+code, stdout and stderr must match cli_golden.json.  The differentials cover
+both of std-components' routes: snapped exact components (cube) and the
+least-squares floats (inverse), and over C the non-unique note.
 `poly taylor --poly "x^3 + i*x - 3" --at 2` keeps its two words
 `12*h + (0+1i+0j+0k)*h` apart; merging them would change this file.
 
@@ -39,6 +42,7 @@ ODE = [
     ("i*h*j*x + i*x*j*h", "1/2+k", "2-i"),
     ("3*h*x^2", "0", "0"),
 ]
+DIFF = {"H": ["1/2-i+3k", "1+2i-j+1/3k"], "C": ["2-1/3i"]}
 
 
 def sweep() -> list[list[str]]:
@@ -55,6 +59,11 @@ def sweep() -> list[list[str]]:
             commands.append(["poly", "derive", *over(alg), "--poly", p, "--order", str(order)])
     for rhs, x0, y0 in ODE:
         commands.append(["ode", "solve", "--rhs", rhs, "--x0", x0, "--y0", y0])
+    for alg, points in DIFF.items():
+        for command in ("jacobian", "std-components"):
+            for name in ("cube", "inverse"):
+                for at in points:
+                    commands.append(["diff", command, *over(alg), "--map", name, "--at", at])
     return [argv + tail for argv in commands for tail in ([], ["--json"])]
 
 

@@ -15,7 +15,6 @@ from ncdr.dspace import (
     apply_component_map,
     compose_component_maps,
     dmatrix_inverse,
-    lin_comb,
     shift_components,
 )
 from ncdr.errors import DimensionMismatch, NotQuaternionBlock, ParseError, Singular
@@ -41,17 +40,6 @@ def random_invertible_matrix(rng, n):
             return M, dmatrix_inverse(M)
         except Singular:
             continue
-
-
-def test_lin_comb_examples():
-    v = DVector((ONE, K))
-    w = DVector((I, J))
-    assert lin_comb(ONE, v, ONE, H.zero, w, H.zero) == v
-    # a=i, b=j over (1, k): (i*1*j, i*k*j) = (k, 1).
-    got = lin_comb(I, v, J, H.zero, w, H.zero)
-    assert got == DVector((K, ONE))
-    with pytest.raises(DimensionMismatch):
-        lin_comb(ONE, v, ONE, ONE, DVector((ONE,)), ONE)
 
 
 def test_twin_associativity():

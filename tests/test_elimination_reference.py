@@ -2,13 +2,13 @@
 
 exactla.inverse reads eliminate_square, min_norm_solution is the
 pseudo-inverse times b, coord_to_std multiplies by big_c's cached
-pseudo-inverse without eliminating at all, kernel_rank reads rank and
-witness off one nullspace, and dmatrix_inverse checks its result once, as
-B @ A == I over D.  The compositions they replaced, and the block
-embedding that dmatrix_inverse now uses only at a column with no invertible
-pivot, are kept here as references: results must be equal, entry types
-included, on H, C and E(a, b), split algebras included.  Counting wrappers pin the
-number of eliminations and embeddings.
+pseudo-inverse without eliminating at all, nullspace eliminates once, and
+dmatrix_inverse checks its result once, as B @ A == I over D.  The
+compositions they replaced, and the block embedding that dmatrix_inverse now
+uses only at a column with no invertible pivot, are kept here as references:
+results must be equal, entry types included, on H, C and E(a, b), split
+algebras included.  Counting wrappers pin the number of eliminations and
+embeddings.
 """
 
 from collections import Counter
@@ -35,12 +35,10 @@ from ncdr.dspace import DMatrix, dmatrix_inverse
 from ncdr.errors import NotQuaternionBlock, Singular
 from ncdr.linmap import (
     CoordMatrix,
-    KernelInfo,
     StdComponents,
     big_c,
     coord_to_std,
     embed_matrix,
-    kernel_rank,
     std_to_coord,
 )
 
@@ -65,16 +63,6 @@ def reference_min_norm_solution(M, b):
     rhs = [sum(u[i] * x0[i] for i in range(len(x0))) for u in N]
     z = exactla.mat_vec(reference_inverse(gram), rhs)
     return [x0[i] - sum(z[k] * N[k][i] for k in range(len(N))) for i in range(len(x0))]
-
-
-def reference_kernel_rank(m):
-    rows = [list(r) for r in m.mat]
-    r = exactla.rank(rows)
-    singular = r < m.alg.dim
-    witness = None
-    if singular:
-        witness = m.alg.element(exactla.nullspace(rows)[0])
-    return KernelInfo(rank=r, is_singular=singular, kernel_vector=witness)
 
 
 def reference_dmatrix_inverse(A):
@@ -198,35 +186,6 @@ def test_min_norm_solution_matches_reference_on_general_matrices(M, data):
             assert_fractions(got)
 
 
-@st.composite
-def coordinate_matrices(draw):
-    """Coordinate matrices over the algebras: embeddings, converted maps,
-    and products of an n x r and an r x n block with r < n (singular)."""
-    alg = draw(algebras)
-    n = alg.dim
-    kind = draw(st.sampled_from(["embedding", "converted", "deficient"]))
-    if kind == "embedding":
-        return embed_matrix(draw(elements(alg)))
-    if kind == "converted":
-        return std_to_coord(draw(std_maps(alg)))
-    inner = draw(st.integers(0, n - 1))
-    entries = st.fractions(-5, 5, max_denominator=4)
-    left = [draw(st.lists(entries, min_size=inner, max_size=inner)) for _ in range(n)]
-    right = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(inner)]
-    prod = exactla.mat_mul(left, right) if inner else [[Fraction(0)] * n for _ in range(n)]
-    return CoordMatrix.from_rows(alg, prod)
-
-
-@given(coordinate_matrices())
-@settings(max_examples=200, deadline=None)
-def test_kernel_rank_matches_reference(m):
-    got = kernel_rank(m)
-    assert got == reference_kernel_rank(m)
-    assert type(got.rank) is int and type(got.is_singular) is bool
-    if got.kernel_vector is not None:
-        assert_exact(got.kernel_vector)
-
-
 @pytest.fixture
 def calls(monkeypatch):
     counts = Counter()
@@ -258,7 +217,7 @@ def test_one_elimination_per_operation(calls):
                                                    [0, 0, 1, 0], [0, 0, 0, 1]])
     for m, rank in ((singular, 3), (CoordMatrix.identity(QUATERNIONS), 4)):
         calls.clear()
-        assert kernel_rank(m).rank == rank
+        assert len(exactla.nullspace([list(row) for row in m.mat])) == 4 - rank
         assert calls["eliminations"] == 1
 
     # Over H every pivot inverts: Gauss-Jordan over D, no embedding.  The

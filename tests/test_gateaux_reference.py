@@ -138,9 +138,6 @@ def outcome(call):
 
 
 def _data(result):
-    if isinstance(result, np.ndarray):
-        assert result.dtype == np.float64
-        return result.shape, tuple(result.ravel().tolist())
     if isinstance(result, (tuple, list)):
         return tuple(_data(r) for r in result)
     if isinstance(result, Element):
@@ -217,7 +214,7 @@ def test_engine_matches_reference(pts):
     x, a, b, c = pts
     for f in unary_maps(b, c):
         check_entry_points(f, x, a, b=b)
-    product = MapEvaluator.nary(x.alg, 2, mul)
+    product = MapEvaluator(x.alg, 2, mul)
     check_entry_points(product, (x, b), (a, c))
 
 
@@ -259,7 +256,7 @@ def test_non_finite_reference_values_raise():
 def reference_least_squares(alg, jac):
     """The float solve the engine ran before: numpy's lstsq over big_c."""
     A = np.array(big_c(alg).mat, dtype=float)
-    b = jac.ravel()
+    b = np.array(jac).ravel()
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.max(np.abs(A @ sol - b)))
     if residual > engine.LSTSQ_RESIDUAL_TOL:
@@ -267,7 +264,7 @@ def reference_least_squares(alg, jac):
             f"Jacobian is {residual:.3e} away from the representable subspace",
             residual=residual,
         )
-    return sol, residual, big_c(alg).rank == alg.dim**2
+    return sol.tolist(), residual, big_c(alg).rank == alg.dim**2
 
 
 LSTSQ_ALGEBRAS = (
@@ -291,13 +288,13 @@ def float_jacobians(draw):
         noise = st.floats(-1e-9, 1e-9)
         coords = std_to_coord(StdComponents(alg, tuple(map(tuple, grid)))).mat
         grid = [[v + draw(noise) for v in row] for row in coords]
-    return alg, np.array(grid)
+    return alg, tuple(tuple(float(v) for v in row) for row in grid)
 
 
 def _snaps(jac):
     return all(
         abs(float(Fraction(v).limit_denominator(engine.SNAP_DENOMINATOR)) - v) <= engine.SNAP_TOL
-        for v in jac.ravel().tolist()
+        for row in jac for v in row
     )
 
 
@@ -314,12 +311,12 @@ def test_least_squares_matches_lstsq(drawn):
         assert got[:3] == want[:3]
         assert abs(got[3][3] - want[3][3]) <= 1e-12
         return
-    (comps, unique), ((_, sol), residual, want_unique) = got[1], want[1]
+    (comps, unique), (sol, residual, want_unique) = got[1], want[1]
     n = alg.dim
-    scale = max(1.0, float(np.max(np.abs(jac))))
+    scale = max(1.0, *(abs(v) for row in jac for v in row))
     assert all(type(v) is float for row in comps for v in row)
     assert np.max(np.abs(np.array(comps).ravel() - np.array(sol))) <= 1e-12 * scale
     assert unique == want_unique
     back = std_to_coord(StdComponents(alg, comps)).mat
-    got_residual = max(abs(back[j][i] - jac[j, i]) for j in range(n) for i in range(n))
+    got_residual = max(abs(back[j][i] - jac[j][i]) for j in range(n) for i in range(n))
     assert abs(got_residual - residual) <= 1e-12

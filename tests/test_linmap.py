@@ -1,5 +1,5 @@
-"""Linear-map representations: conversion, solvability, composition, basis change,
-and the numpy boundary: the linear-map layers import no numpy."""
+"""Linear-map representations: conversion, solvability and composition, and
+the numpy boundary: the linear-map layers hold no numpy values."""
 
 import random
 import types
@@ -18,16 +18,14 @@ from ncdr.dspace import (
     component_sum_to_std,
     dmatrix_inverse,
 )
-from ncdr.errors import AlgebraMismatch, DimensionMismatch, NotRepresentable, Singular
+from ncdr.errors import DimensionMismatch, NotRepresentable
 from ncdr.linmap import (
     CoordMatrix,
     StdComponents,
     big_c,
-    change_basis,
     compose_std,
     coord_to_std,
     eval_std,
-    kernel_rank,
     std_to_coord,
 )
 
@@ -256,52 +254,6 @@ def test_complex_cauchy_riemann_relations():
         assert m[1][0] == -m[0][1]
 
 
-def test_kernel_rank():
-    info = kernel_rank(CoordMatrix.identity(H))
-    assert info.rank == 4 and not info.is_singular
-    # f(x) = x + i x i kills 1: convert through the component-sum route.
-    f = component_sum_to_std(component_sum((ONE, ONE), (I, I)))
-    info = kernel_rank(std_to_coord(f))
-    assert info.is_singular
-    assert eval_std(f, info.kernel_vector).is_zero()
-    zero = CoordMatrix.from_rows(H, [[0] * 4 for _ in range(4)])
-    assert kernel_rank(zero).rank == 0
-
-
-def test_change_basis():
-    rng = random.Random(37)
-    m = std_to_coord(random_std(rng))
-    eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    assert change_basis(m, eye) == m
-    two = [[Fraction(2 * int(i == j)) for j in range(4)] for i in range(4)]
-    assert change_basis(m, two) == m
-    while True:
-        A = [[random_fraction(rng) for _ in range(4)] for _ in range(4)]
-        if exactla.det(A) != 0:
-            break
-    moved = change_basis(m, A)
-    back = change_basis(moved, exactla.inverse(A))
-    assert back == m
-    with pytest.raises(Singular):
-        change_basis(m, [[Fraction(0)] * 4 for _ in range(4)])
-    assert change_basis(m, CoordMatrix.from_rows(H, A)) == moved
-
-
-@pytest.mark.parametrize(
-    "A, error",
-    [
-        ([[1, 0], [0, 1]], DimensionMismatch),
-        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], DimensionMismatch),
-        ([], DimensionMismatch),
-        (CoordMatrix.identity(COMPLEX), AlgebraMismatch),
-    ],
-    ids=["2x2", "4x3", "empty", "other-algebra"],
-)
-def test_change_basis_rejects_wrong_shapes_and_algebras(A, error):
-    with pytest.raises(error):
-        change_basis(CoordMatrix.identity(H), A)
-
-
 FLOAT_GRID = tuple(tuple(0.5 + (i == j) for j in range(4)) for i in range(4))
 
 
@@ -309,14 +261,12 @@ FLOAT_GRID = tuple(tuple(0.5 + (i == j) for j in range(4)) for i in range(4))
     lambda m, f: compose_std(f, f),
     lambda m, f: coord_to_std(m),
     lambda m, f: m @ m,
-    lambda m, f: kernel_rank(m),
-    lambda m, f: change_basis(m, CoordMatrix.identity(H)),
     # One float entry, on the route over D and on the block-embedding route.
     lambda m, f: dmatrix_inverse(DMatrix(((H.one, H.zero), (H.zero, H.one.to_float())))),
     lambda m, f: dmatrix_inverse(DMatrix((NO_UNIT_PIVOT.entries[0],
                                           (SPLIT.one - IDEMPOTENT, IDEMPOTENT.to_float())))),
-], ids=["compose_std", "coord_to_std", "matmul", "kernel_rank", "change_basis",
-        "dmatrix_inverse", "dmatrix_inverse_fallback"])
+], ids=["compose_std", "coord_to_std", "matmul", "dmatrix_inverse",
+        "dmatrix_inverse_fallback"])
 def test_exact_entry_points_reject_floats(call):
     with pytest.raises(TypeError):
         call(CoordMatrix(H, FLOAT_GRID), StdComponents(H, FLOAT_GRID))
@@ -367,7 +317,6 @@ def _from_numpy(value) -> bool:
 
 @pytest.mark.parametrize("module", [linmap, exactla], ids=lambda m: m.__name__)
 def test_exact_layers_hold_no_numpy(module):
-    # numpy stays in the numeric engine, which holds the Jacobian array and
-    # its SVD; the linear-map layers, float least squares included, run on
-    # Python integers, Fractions and floats.
+    # The linear-map layers, float least squares included, run on Python
+    # integers, Fractions and floats; no library module imports numpy.
     assert [name for name, v in vars(module).items() if _from_numpy(v)] == []

@@ -27,6 +27,7 @@ GOLDEN = {
         ("13-euler-homogeneity", "max relative residual 1.76e-13"),
         ("14-dual-basis-twin", "50 inversions + 100 associativity triples, exact"),
         ("15-negative-control", "corrupted table rejected at construction"),
+        ("16-component-maps", "10 compositions, 10 shifts, 10 std conversions, exact"),
     ],
     7: [
         ("01-algebra-axioms", "64 triples + 1000 norm pairs, exact"),
@@ -44,6 +45,7 @@ GOLDEN = {
         ("13-euler-homogeneity", "max relative residual 1.78e-13"),
         ("14-dual-basis-twin", "50 inversions + 100 associativity triples, exact"),
         ("15-negative-control", "corrupted table rejected at construction"),
+        ("16-component-maps", "10 compositions, 10 shifts, 10 std conversions, exact"),
     ],
 }
 
