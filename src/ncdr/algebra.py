@@ -543,14 +543,6 @@ def format_element(x: Element) -> str:
     return "".join(parts)
 
 
-def element_to_strings(x: Element) -> list[str]:
-    return [str(c) for c in x.coords]
-
-
-def element_from_strings(alg: AlgebraSpec, coords: Sequence[str]) -> Element:
-    return alg.element([Fraction(s) for s in coords])
-
-
 def _read_json(text: str, what: str, build: Callable[[Any], Any]) -> Any:
     """build(json.loads(text)); ParseError for text that is not JSON, nests too
     deeply or holds values build cannot read.  build's NcdrErrors pass through."""

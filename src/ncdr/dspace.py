@@ -9,22 +9,13 @@ components.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import exactla
-from .algebra import (
-    AlgebraSpec,
-    Element,
-    _read_json,
-    element_from_strings,
-    element_to_strings,
-    inverse,
-    mul,
-)
+from .algebra import AlgebraSpec, Element, inverse, mul
 from .errors import DimensionMismatch, NotInvertible, NotQuaternionBlock, Singular, WrongDimension
 from .linmap import StdComponents, embed_matrix
 
@@ -116,14 +107,6 @@ class DMatrix:
             for row in self.entries
         ))
 
-    def to_json(self) -> str:
-        return json.dumps([[element_to_strings(e) for e in row] for row in self.entries])
-
-    @classmethod
-    def from_json(cls, alg: AlgebraSpec, text: str) -> "DMatrix":
-        return _read_json(text, "D-matrix", lambda grid: cls(
-            tuple(tuple(element_from_strings(alg, e) for e in row) for row in grid)))
-
 
 def dmatrix_inverse(A: DMatrix) -> DMatrix:
     """Two-sided inverse of a square matrix over an n-dimensional algebra.
@@ -213,16 +196,6 @@ class ComponentMap:
     def from_lists(cls, alg: AlgebraSpec, pairs) -> "ComponentMap":
         return cls(alg, tuple(tuple(tuple((u, v) for u, v in cell) for cell in row)
                               for row in pairs))
-
-    def to_json(self) -> str:
-        return json.dumps([[[[element_to_strings(u), element_to_strings(v)] for u, v in cell]
-                            for cell in row] for row in self.pairs])
-
-    @classmethod
-    def from_json(cls, alg: AlgebraSpec, text: str) -> "ComponentMap":
-        read = element_from_strings
-        return _read_json(text, "component map", lambda doc: cls.from_lists(
-            alg, [[[(read(alg, u), read(alg, v)) for u, v in cell] for cell in row] for row in doc]))
 
 
 def apply_component_map(M: ComponentMap, v: DVector) -> DVector:

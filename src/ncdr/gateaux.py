@@ -1,4 +1,4 @@
-"""Numeric directional differentiation of black-box maps between algebras.
+"""Numeric directional differentiation of black-box maps D -> D.
 
 The limit t^-1 (f(x + t a) - f(x)) is discretized by central differences with
 Richardson extrapolation; everything here runs in float coordinates.  The
@@ -24,14 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 from .algebra import AlgebraSpec, Element, _float_coords, _float_element, mul, norm_float
-from .errors import DimensionMismatch, NcdrError, NonConvergent, NotRepresentable
+from .errors import NcdrError, NonConvergent, NotRepresentable
 from .linmap import CoordMatrix, StdComponents, StdSolution, big_c, coord_to_std
 from .linmap import _float_rows_vec, _square
-
-Point = Union[Element, Sequence[Element]]
 
 # The step schedule.  BASE_STEP is a power of two: with RATIO 2 every step is
 # an exact binary fraction, so x +- t a and the division by 2t round nothing
@@ -54,27 +52,18 @@ LSTSQ_RESIDUAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MapEvaluator:
-    """A deterministic black-box map from arity arguments in alg to one
-    element of alg; fn takes the arguments positionally."""
+    """A deterministic black-box map D -> D: fn takes one element of alg and
+    returns one."""
 
     alg: AlgebraSpec
-    arity: int
-    fn: Callable[..., Element]
+    fn: Callable[[Element], Element]
 
     @classmethod
     def unary(cls, alg: AlgebraSpec, f: Callable[[Element], Element]) -> "MapEvaluator":
-        return cls(alg, 1, f)
+        return cls(alg, f)
 
-    def __call__(self, args: tuple[Element, ...]) -> Element:
-        return self.fn(*args)
-
-
-def _float_point(f: MapEvaluator, point: Point) -> tuple[Element, ...]:
-    """A point or direction as float elements, one per argument slot."""
-    point = (point,) if isinstance(point, Element) else tuple(point)
-    if len(point) != f.arity:
-        raise DimensionMismatch(f"expected {f.arity} elements")
-    return tuple(e.to_float() for e in point)
+    def __call__(self, x: Element) -> Element:
+        return self.fn(x)
 
 
 def _richardson(
@@ -108,18 +97,13 @@ def _richardson(
     return best, err
 
 
-def _directional(
-    f: MapEvaluator, x: tuple[Element, ...], a: tuple[Element, ...]
-) -> tuple[list[float], float]:
+def _directional(f: MapEvaluator, x: Element, a: Element) -> tuple[list[float], float]:
     # x and a hold float coordinates, so x + t a is built coordinate-wise;
     # (-t) v == -(t v) exactly, so x - t a is shifted(-t).
-    parts = [(xi.alg, xi.coords, ai.coords) for xi, ai in zip(x, a)]
+    alg, xc, ac = x.alg, x.coords, a.coords
 
-    def shifted(t: float) -> tuple[Element, ...]:
-        return tuple(
-            _float_element(alg, tuple([u + t * v for u, v in zip(xc, ac)]))
-            for alg, xc, ac in parts
-        )
+    def shifted(t: float) -> Element:
+        return _float_element(alg, tuple([u + t * v for u, v in zip(xc, ac)]))
 
     def sample(t: float) -> list[float]:
         # A map may return an exact element, as maps.constant does.
@@ -139,14 +123,14 @@ def _directional(
         raise
 
 
-def gateaux_with_error(f: MapEvaluator, x: Point, a: Point) -> tuple[Element, float]:
+def gateaux_with_error(f: MapEvaluator, x: Element, a: Element) -> tuple[Element, float]:
     """Directional derivative and its extrapolation error estimate, which is
     an estimate of the error and not a bound on it (see _richardson)."""
-    value, err = _directional(f, _float_point(f, x), _float_point(f, a))
+    value, err = _directional(f, x.to_float(), a.to_float())
     return _float_element(f.alg, tuple(value)), err
 
 
-def gateaux(f: MapEvaluator, x: Point, a: Point) -> Element:
+def gateaux(f: MapEvaluator, x: Element, a: Element) -> Element:
     """Directional derivative of f at x along a (zero where a = 0 and f is defined)."""
     return gateaux_with_error(f, x, a)[0]
 
@@ -159,7 +143,7 @@ def second_gateaux(f: MapEvaluator, x: Element, a1: Element, a2: Element) -> Ele
     x, a1, a2 = x.to_float(), a1.to_float(), a2.to_float()
 
     def g(y: Element) -> list[float]:
-        value, _ = _directional(f, (y,), (a1,))
+        value, _ = _directional(f, y, a1)
         return value
 
     def sample(t: float) -> list[float]:
@@ -178,36 +162,31 @@ def mixed_partial_residual(f: MapEvaluator, x: Element, a1: Element, a2: Element
     return norm_float(d12 - d21)
 
 
-def jacobian(f: MapEvaluator, x: Point) -> tuple[tuple[float, ...], ...]:
+def jacobian(f: MapEvaluator, x: Element) -> tuple[tuple[float, ...], ...]:
     """Real Jacobian as float rows: entry (j, i) is the derivative of output
     coordinate j with respect to input coordinate i, by central differences."""
-    xt = _float_point(f, x)
-    n_in = f.alg.dim
-    zero = _float_element(f.alg, (0.0,) * n_in)
-    units = [_float_element(f.alg, tuple(float(i == c) for i in range(n_in)))
-             for c in range(n_in)]
-    cols = []
-    for slot in range(f.arity):
-        for unit in units:
-            direction = tuple(unit if k == slot else zero for k in range(f.arity))
-            col, _ = _directional(f, xt, direction)
-            cols.append(col)
+    x = x.to_float()
+    n = f.alg.dim
+    cols = [_directional(f, x, _float_element(f.alg, tuple(float(i == c) for i in range(n))))[0]
+            for c in range(n)]
     return tuple(zip(*cols))
 
 
 def differential_std_components(f: MapEvaluator, x: Element) -> StdSolution:
-    """Standard components of the differential at x, via the Jacobian J.
+    """Standard components of the differential at x, from its Jacobian."""
+    return jacobian_std_components(f.alg, jacobian(f, x))
+
+
+def jacobian_std_components(alg: AlgebraSpec, rows: tuple[tuple[float, ...], ...]) -> StdSolution:
+    """Standard components of the map whose Jacobian is rows (float rows J).
 
     Entries near small rationals (denominator <= SNAP_DENOMINATOR, within
     SNAP_TOL) are snapped and solved exactly.  Otherwise the least-norm
     components are big_c's pseudo-inverse times vec(J) in floats, and the
     residual max |mat x - vec(J)| decides representability at LSTSQ_RESIDUAL_TOL.
     """
-    if f.arity != 1:
-        raise DimensionMismatch("standard components need a map D -> D")
-    alg = f.alg
     n = alg.dim
-    b = [v for row in jacobian(f, x) for v in row]
+    b = [v for row in rows for v in row]
     snapped = [Fraction(v).limit_denominator(SNAP_DENOMINATOR) for v in b]
     if all(abs(float(s) - v) <= SNAP_TOL for s, v in zip(snapped, b)):
         return coord_to_std(CoordMatrix(alg, _square(snapped, n)))
@@ -225,17 +204,17 @@ def differential_std_components(f: MapEvaluator, x: Element) -> StdSolution:
 def verify_product_rule(f: MapEvaluator, g: MapEvaluator, x: Element, a: Element) -> float:
     """Residual of d(fg)(x)(a) = df(x)(a) g(x) + f(x) dg(x)(a)."""
     x, a = x.to_float(), a.to_float()
-    product = MapEvaluator.unary(f.alg, lambda y: mul(f((y,)), g((y,))))
+    product = MapEvaluator.unary(f.alg, lambda y: mul(f(y), g(y)))
     lhs = gateaux(product, x, a)
-    rhs = mul(gateaux(f, x, a), g((x,))) + mul(f((x,)), gateaux(g, x, a))
+    rhs = mul(gateaux(f, x, a), g(x)) + mul(f(x), gateaux(g, x, a))
     return norm_float(lhs - rhs)
 
 
 def verify_chain_rule(g: MapEvaluator, f: MapEvaluator, x: Element, a: Element) -> float:
     """Residual of d(g o f)(x)(a) = dg(f(x))(df(x)(a))."""
     x, a = x.to_float(), a.to_float()
-    composed = MapEvaluator.unary(f.alg, lambda y: g((f((y,)),)))
+    composed = MapEvaluator.unary(f.alg, lambda y: g(f(y)))
     lhs = gateaux(composed, x, a)
-    rhs = gateaux(g, f((x,)), gateaux(f, x, a))
+    rhs = gateaux(g, f(x), gateaux(f, x, a))
     return norm_float(lhs - rhs)
 

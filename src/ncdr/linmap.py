@@ -23,14 +23,13 @@ least-squares solve over pinv_rows and mat_rows.  No numpy here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import exactla
-from .algebra import AlgebraSpec, Element, ScalarLike, _read_json, _reduced, as_scalar, mul
+from .algebra import AlgebraSpec, Element, ScalarLike, _reduced, as_scalar, mul
 from .errors import AlgebraMismatch, DimensionMismatch, NotRepresentable
 
 Grid = tuple[tuple[Fraction, ...], ...]
@@ -60,13 +59,6 @@ class StdComponents:
     def identity(cls, alg: AlgebraSpec) -> "StdComponents":
         n = alg.dim
         return cls.from_rows(alg, [[int(i == j == 0) for j in range(n)] for i in range(n)])
-
-    def to_json(self) -> str:
-        return json.dumps([[str(v) for v in row] for row in self.comps])
-
-    @classmethod
-    def from_json(cls, alg: AlgebraSpec, text: str) -> "StdComponents":
-        return _read_json(text, "standard components", lambda rows: cls.from_rows(alg, rows))
 
 
 @dataclass(frozen=True)
@@ -111,13 +103,6 @@ class CoordMatrix:
         prod = exactla.mat_mul(self.mat, other.mat)
         return CoordMatrix(self.alg, tuple(tuple(row) for row in prod))
 
-    def to_json(self) -> str:
-        return json.dumps([[str(v) for v in row] for row in self.mat])
-
-    @classmethod
-    def from_json(cls, alg: AlgebraSpec, text: str) -> "CoordMatrix":
-        return _read_json(text, "coordinate matrix", lambda rows: cls.from_rows(alg, rows))
-
 
 def embed_matrix(a: Element) -> CoordMatrix:
     """Left-multiplication matrix J_a, the coordinate matrix of x -> a*x.
@@ -155,7 +140,6 @@ class BigC:
     rank: int
     det: Fraction
     zero_map_kernel: tuple[Grid, ...]
-    inv: Grid | None
     mat_rows: exactla.IntRows = field(repr=False, compare=False)
     pinv_rows: exactla.IntRows = field(repr=False, compare=False)
 
@@ -165,7 +149,7 @@ class BigC:
             "size": len(self.mat),
             "rank": self.rank,
             "det": str(self.det),
-            "invertible": self.inv is not None,
+            "invertible": self.rank == len(self.mat),
             "zero_map_kernel_dim": len(self.zero_map_kernel),
         }
 
@@ -188,7 +172,6 @@ def big_c(alg: AlgebraSpec) -> BigC:
         rank=elim.rank,
         det=elim.det,
         zero_map_kernel=tuple(_square(v, n) for v in elim.kernel),
-        inv=None if elim.inverse is None else tuple(tuple(row) for row in elim.inverse),
         mat_rows=exactla.int_rows(mat),
         pinv_rows=exactla.int_rows(elim.inverse or exactla.pseudo_inverse(mat)),
     )

@@ -173,7 +173,7 @@ def euler_check(f: MapEvaluator, k: int, seed: int = 0) -> float:
     worst = 0.0
     for _ in range(20):
         v = alg.element([rng.uniform(0.5, 2.0) * rng.choice([-1, 1]) for _ in range(alg.dim)])
-        fv = f((v,))
+        fv = f(v)
         residual = norm_float(gateaux(f, v, v) - k * fv)
         worst = max(worst, residual / max(norm_float(fv), 1e-9))
     return worst

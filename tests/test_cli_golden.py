@@ -1,8 +1,9 @@
 """The symbolic and numeric commands' output, pinned byte for byte.
 
 `poly taylor`, `poly derive`, `ode solve`, `diff jacobian` and
-`diff std-components` over H and C, as text and as JSON: each command's exit
-code, stdout and stderr must match cli_golden.json.  The differentials cover
+`diff std-components` over H and C, as text and as JSON, and `map bigc
+--report` and `map bigc --json` over H and C: each command's exit code,
+stdout and stderr must match cli_golden.json.  The differentials cover
 both of std-components' routes: snapped exact components (cube) and the
 least-squares floats (inverse), and over C the non-unique note.
 `poly taylor --poly "x^3 + i*x - 3" --at 2` keeps its two words
@@ -64,7 +65,9 @@ def sweep() -> list[list[str]]:
             for name in ("cube", "inverse"):
                 for at in points:
                     commands.append(["diff", command, *over(alg), "--map", name, "--at", at])
-    return [argv + tail for argv in commands for tail in ([], ["--json"])]
+    swept = [argv + tail for argv in commands for tail in ([], ["--json"])]
+    return swept + [["map", "bigc", *over(alg), flag] for alg in ("H", "C")
+                    for flag in ("--report", "--json")]
 
 
 def run(argv: list[str]) -> dict:

@@ -53,8 +53,8 @@ def reference_coord_to_std(m):
     n = alg.dim
     B = big_c(alg)
     rhs = [m.mat[j][i] for j in range(n) for i in range(n)]
-    if B.inv is not None:
-        x = exactla.mat_vec([list(r) for r in B.inv], rhs)
+    if B.rank == n * n:
+        x = exactla.mat_vec(exactla.inverse([list(r) for r in B.mat]), rhs)
         unique = True
     else:
         x = reference_min_norm_solution([list(r) for r in B.mat], rhs)

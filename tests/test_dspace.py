@@ -17,8 +17,7 @@ from ncdr.dspace import (
     dmatrix_inverse,
     shift_components,
 )
-from ncdr.errors import DimensionMismatch, NotQuaternionBlock, ParseError, Singular
-from ncdr.linmap import CoordMatrix, StdComponents
+from ncdr.errors import DimensionMismatch, NotQuaternionBlock, Singular
 
 H = QUATERNIONS
 ONE, I, J, K = (H.basis(n) for n in range(4))
@@ -207,31 +206,6 @@ def test_shift_components():
         assert apply_component_map(S, v) == apply_component_map(M, inner)
 
 
-def test_json_round_trips():
-    rng = random.Random(53)
-    M = DMatrix(tuple(tuple(random_element(rng) for _ in range(2)) for _ in range(2)))
-    assert DMatrix.from_json(H, M.to_json()) == M
-    cm = random_component_map(rng, 2, 2)
-    assert ComponentMap.from_json(H, cm.to_json()) == cm
-
-
-MALFORMED = ("not json", "[" * 100_000 + "]" * 100_000, "[[1,2]]", '[["1/0"]]')
-
-
-@pytest.mark.parametrize("cls", [StdComponents, CoordMatrix, DMatrix, ComponentMap],
-                         ids=lambda cls: cls.__name__)
-@pytest.mark.parametrize("text", MALFORMED, ids=("text", "deep", "numbers", "zero-denominator"))
-def test_from_json_rejects_malformed_documents(cls, text):
-    # Grids of StdComponents and CoordMatrix take numbers as well as strings,
-    # so [[1,2]] is a well-formed document of the wrong size there.
-    wrong_size = text == "[[1,2]]" and cls in (StdComponents, CoordMatrix)
-    with pytest.raises(DimensionMismatch if wrong_size else ParseError):
-        cls.from_json(H, text)
-
-
 def test_component_map_rejects_ragged_rows():
     with pytest.raises(DimensionMismatch):
-        ComponentMap.from_json(H, "[[[]], []]")
-    with pytest.raises(DimensionMismatch):
         ComponentMap(H, (((),), ((), ())))
-    assert ComponentMap.from_json(H, "[[[], []], [[], []]]").cols == 2

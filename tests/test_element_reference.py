@@ -151,7 +151,7 @@ def test_float_elements_hold_python_floats_only():
     jacobian(f, exact)
     floats += seen
     norm = maps.norm_square(H)
-    floats += [norm((exact,)), norm((mixed,)), gateaux(norm, exact, H.basis(1))]
+    floats += [norm(exact), norm(mixed), gateaux(norm, exact, H.basis(1))]
     for e in floats:
         assert_float_only(e)
     assert type(norm_sq(mixed)) is float

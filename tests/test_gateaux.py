@@ -17,7 +17,6 @@ from ncdr.algebra import (
     norm_float,
 )
 from ncdr.errors import (
-    DimensionMismatch,
     NonConvergent,
     NotInvertible,
     NotRepresentable,
@@ -81,10 +80,8 @@ def test_gateaux_of_inverse():
 def test_gateaux_zero_direction():
     assert norm_float(gateaux(maps.square(H), I, H.zero)) == 0.0
     # The general path samples f(x) - f(x): exactly 0, with error 0.0, also
-    # for several arguments and a map with exact output.
-    product = MapEvaluator(H, 2, mul)
-    for f, x, a in [(maps.cube(H), ONE + J, H.zero), (maps.constant(K), I, H.zero),
-                    (product, (I, J), (H.zero, H.zero))]:
+    # for a map with exact output.
+    for f, x, a in [(maps.cube(H), ONE + J, H.zero), (maps.constant(K), I, H.zero)]:
         value, err = gateaux_with_error(f, x, a)
         assert value.coords == (0.0,) * 4 and err == 0.0
         assert all(type(c) is float for c in value.coords)
@@ -99,13 +96,6 @@ def test_real_homogeneity():
         lhs = gateaux(f, x, r * a.to_float())
         rhs = r * gateaux(f, x, a)
         assert norm_float(lhs - rhs) <= 1e-8 * max(1.0, norm_float(rhs))
-
-
-def test_point_must_match_arity():
-    with pytest.raises(DimensionMismatch):
-        gateaux(MapEvaluator(H, 2, mul), I, J)
-    with pytest.raises(DimensionMismatch):
-        gateaux(maps.square(H), (I, J), (J, K))
 
 
 def test_second_gateaux():

@@ -114,7 +114,8 @@ def test_big_c_report():
     assert len(bc.zero_map_kernel) == 2
     bh = big_c(H)
     assert len(bh.mat) == 16 and bh.rank == 16 and bh.det != 0
-    assert bh.inv is not None
+    assert bh.report()["invertible"] and not bc.report()["invertible"]
+    assert bh.pinv_rows == exactla.int_rows(exactla.inverse([list(r) for r in bh.mat]))
     assert bc.mat[0][0] == 1  # row (j,i)=(0,0), column (k,r)=(0,0)
     assert bh.mat[0][0] == 1
 
@@ -272,14 +273,6 @@ def test_exact_entry_points_reject_floats(call):
         call(CoordMatrix(H, FLOAT_GRID), StdComponents(H, FLOAT_GRID))
 
 
-def test_json_round_trip():
-    rng = random.Random(43)
-    f = random_std(rng)
-    assert StdComponents.from_json(H, f.to_json()) == f
-    m = std_to_coord(f)
-    assert CoordMatrix.from_json(H, m.to_json()) == m
-
-
 @pytest.mark.parametrize(
     "alg",
     [
@@ -299,8 +292,8 @@ def test_big_c_matches_separate_eliminations(alg):
     n = alg.dim
     assert B.rank == exactla.rank(M)
     assert B.det == exactla.det(M)
-    if B.inv is not None:
-        assert [list(row) for row in B.inv] == exactla.inverse(M)
+    if B.rank == n * n:
+        assert B.pinv_rows == exactla.int_rows(exactla.inverse(M))
         assert B.zero_map_kernel == ()
     else:
         flat = [[g[k][r] for k in range(n) for r in range(n)] for g in B.zero_map_kernel]
