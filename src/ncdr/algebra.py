@@ -17,14 +17,14 @@ nonzero constant, generated and compiled on the algebra's first product of
 their kind and cached on it.  Finite results are bit for bit those of a loop
 over the constants; a zero meeting an infinite coordinate gives NaN.  The
 associativity check at construction sums the same integer triples over pairs
-sharing an index, so it costs O(t^2) for t nonzero constants, not O(n^5).
+sharing an index, so it costs O(t^2) for t nonzero constants, not O(n^5);
+construction refuses more than MAX_STRUCTURE_CONSTANTS of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import defaultdict
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
@@ -39,13 +39,17 @@ from .errors import (
     NcdrError,
     NotInvertible,
     ParseError,
+    RangeError,
     WrongDimension,
     ZeroParameter,
 )
 
 ScalarLike = Union[Fraction, int, float]
 
-_MODULUS = sys.hash_info.modulus
+#: Most nonzero structure constants an algebra may have.  Construction visits
+#: t^2 pairs of them: a dense 16-dimensional tensor, at the limit, takes
+#: about a second.
+MAX_STRUCTURE_CONSTANTS = 4096
 
 
 def as_scalar(value: ScalarLike) -> ScalarLike:
@@ -91,6 +95,10 @@ class AlgebraSpec:
                 raise DimensionMismatch("conj_signs length must equal dim")
             if any(s not in (1, -1) for s in self.conj_signs):
                 raise AxiomViolated("conj_signs entries must be 1 or -1")
+        t = len(self._nonzero_triples)
+        if t > MAX_STRUCTURE_CONSTANTS:
+            raise RangeError(f"{t} nonzero structure constants exceed the limit of "
+                             f"{MAX_STRUCTURE_CONSTANTS}")
         # Unit axiom: e_0 * e_r = e_r * e_0 = e_r.
         for r in range(n):
             for j in range(n):
@@ -227,14 +235,13 @@ class Element:
     den) with den > 0 and gcd(den, *numerators) == 1, and `coords` is a
     Fraction view built on first read and cached (given coordinates are
     kept as it).  Elements are frozen, and compare and hash as their
-    coordinate tuples do; the cached hash of an exact element takes one
-    modular inverse, as hash(Fraction(v, d)) == hash(v * pow(d, -1, P)).
+    coordinate tuples do.
     """
 
-    __slots__ = ("_alg", "_ints", "_coords", "_hash")
+    __slots__ = ("_alg", "_ints", "_coords")
 
     def __init__(self, alg: AlgebraSpec, coords: Sequence[ScalarLike]) -> None:
-        self._alg, self._coords, self._hash = alg, tuple(coords), None
+        self._alg, self._coords = alg, tuple(coords)
         try:  # floats have no denominator
             den = math.lcm(*[c.denominator for c in self._coords])
         except AttributeError:
@@ -267,14 +274,7 @@ class Element:
         return a == b
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            ints = self._ints
-            if ints is None or ints[1] % _MODULUS == 0:
-                self._hash = hash(self.coords)
-            else:
-                inv = pow(ints[1], -1, _MODULUS)
-                self._hash = hash(tuple([v * inv for v in ints[0]]))
-        return self._hash
+        return hash(self.coords)
 
     def __reduce__(self) -> tuple:
         return Element, (self._alg, self.coords)
@@ -311,28 +311,12 @@ class Element:
 
     __rmul__ = _scaled  # scalars commute with every coordinate, floats included
 
-    def __truediv__(self, other: object) -> "Element":
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        if isinstance(other, float):
-            return self * (1.0 / other)
-        return NotImplemented
-
     def __bool__(self) -> bool:
         ints = self._ints
         return any(self._coords if ints is None else ints[0])
 
     def is_zero(self) -> bool:
         return not self
-
-    def conj(self) -> "Element":
-        return conj(self)
-
-    def norm_sq(self) -> ScalarLike:
-        return norm_sq(self)
-
-    def inverse(self) -> "Element":
-        return inverse(self)
 
     def to_float(self) -> "Element":
         return _float_element(self._alg, _float_coords(self))
@@ -347,7 +331,7 @@ _new = object.__new__
 def _exact(alg: AlgebraSpec, num: tuple[int, ...], den: int) -> Element:
     """An exact element of numerators over den > 0 with gcd(den, *num) == 1."""
     e = _new(Element)
-    e._alg, e._ints, e._coords, e._hash = alg, (num, den), None, None
+    e._alg, e._ints, e._coords = alg, (num, den), None
     return e
 
 
@@ -381,7 +365,7 @@ def _times(x: Element, p: int, q: int) -> Element:
 def _float_element(alg: AlgebraSpec, coords: tuple) -> Element:
     """A float element of a tuple of Python floats; no conversion or check."""
     e = _new(Element)
-    e._alg, e._ints, e._coords, e._hash = alg, None, coords, None
+    e._alg, e._ints, e._coords = alg, None, coords
     return e
 
 

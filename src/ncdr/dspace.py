@@ -9,9 +9,7 @@ components.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import exactla
@@ -78,7 +76,7 @@ class DMatrix:
 
     @classmethod
     def diagonal(cls, diag: Sequence[Element]) -> "DMatrix":
-        zero = diag[0].alg.zero
+        zero = diag[0].alg.zero if diag else None  # no entries: the constructor refuses
         return cls(tuple(tuple(d if i == j else zero for j in range(len(diag)))
                          for i, d in enumerate(diag)))
 
@@ -215,24 +213,16 @@ def apply_component_map(M: ComponentMap, v: DVector) -> DVector:
 def component_sum_to_std(M: ComponentMap) -> StdComponents:
     """Standard components of a 1 x 1 map x -> sum_s u_s x v_s.
 
-    f^{ij} = sum_s u_s^i v_s^j, the superposed outer products, summed as
-    integer numerators over one common denominator.  Exact pairs only: a
-    float element raises TypeError.
+    f^{ij} = sum_s u_s^i v_s^j, the superposed outer products: f = U^T V,
+    where row s of U holds the coordinates of u_s and row s of V those of
+    v_s.  Exact pairs only: a float element raises TypeError.
     """
     if M.rows != 1 or M.cols != 1:
         raise DimensionMismatch("standard components need a 1 x 1 component map")
-    n = M.alg.dim
-    pairs = [(u._ints, v._ints) for u, v in M.pairs[0][0]]
-    den = math.lcm(*[du * dv for (_, du), (_, dv) in pairs])
-    acc = [[0] * n for _ in range(n)]
-    for (un, du), (vn, dv) in pairs:
-        s = den // (du * dv)
-        for a, row in zip(un, acc):
-            if a:
-                a *= s
-                for j, b in enumerate(vn):
-                    row[j] += a * b
-    return StdComponents(M.alg, tuple(tuple(Fraction(v, den) for v in row) for row in acc))
+    zero = M.alg.zero
+    pairs = M.pairs[0][0] or ((zero, zero),)  # an empty cell is the zero map
+    f = exactla.mat_mul(list(zip(*[u.coords for u, _ in pairs])), [v.coords for _, v in pairs])
+    return StdComponents(M.alg, tuple(map(tuple, f)))
 
 
 def compose_component_maps(B: ComponentMap, A: ComponentMap) -> ComponentMap:

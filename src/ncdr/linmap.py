@@ -9,8 +9,8 @@ components are unique.
 The exact layer runs on integers.  big_c keeps mat and its pseudo-inverse as
 integer rows, so std_to_coord and coord_to_std are one row-vector product each,
 plus a membership check when mat is singular; compose_std and embed_matrix sum
-numerators over the structure triples, and CoordMatrix.apply multiplies an
-exact element's numerators by integer rows.  Only final entries are Fractions.
+numerators over the structure triples, and CoordMatrix.apply is one
+exactla.mat_vec.  Only final entries are Fractions.
 
 CoordMatrix.apply and @, embed_matrix, coord_to_std and compose_std take
 exact scalars only; each raises TypeError on a float element or float-entry
@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 from . import exactla
-from .algebra import AlgebraSpec, Element, ScalarLike, _reduced, as_scalar, mul
+from .algebra import AlgebraSpec, Element, ScalarLike, as_scalar, mul
 from .errors import AlgebraMismatch, DimensionMismatch, NotRepresentable
 
 Grid = tuple[tuple[Fraction, ...], ...]
@@ -82,20 +82,11 @@ class CoordMatrix:
         n = alg.dim
         return cls.from_rows(alg, [[int(i == j) for j in range(n)] for i in range(n)])
 
-    @cached_property
-    def _ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """mat as integer rows over one denominator, in tuples; exact entries only."""
-        nums, den = exactla.numerators([v for row in self.mat for v in row])
-        n = self.alg.dim
-        return tuple([tuple(nums[j : j + n]) for j in range(0, n * n, n)]), den
-
     def apply(self, a: Element) -> Element:
         """The image of an exact element; exact entries only."""
         if a.alg != self.alg:
             raise AlgebraMismatch("element belongs to a different algebra")
-        (rows, dm), (num, dx) = self._ints, a._ints
-        acc = [sum([c * v for c, v in zip(row, num)]) for row in rows]
-        return _reduced(self.alg, acc, dm * dx)
+        return self.alg.element(exactla.mat_vec(self.mat, a.coords))
 
     def __matmul__(self, other: "CoordMatrix") -> "CoordMatrix":
         if self.alg != other.alg:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from test_algebra import dense_document
 
 from ncdr import cli
 from ncdr.cli import main
@@ -58,6 +59,16 @@ def test_algebra_check_rejects_bad_conj_signs(tmp_path, capsys, signs, error):
     code, out, err = run(capsys, "algebra", "check", "--file", str(bad))
     assert (code, out) == (1, "")
     assert err.startswith(f"{error}: ")
+
+
+def test_algebra_check_refuses_a_tensor_past_the_size_cap(tmp_path, capsys):
+    from ncdr.algebra import MAX_STRUCTURE_CONSTANTS
+
+    big = tmp_path / "big.json"
+    big.write_text(dense_document(17, MAX_STRUCTURE_CONSTANTS + 1))
+    code, out, err = run(capsys, "algebra", "check", "--file", str(big))
+    assert (code, out) == (1, "")
+    assert err.startswith("RangeError: ")
 
 
 @pytest.mark.parametrize("text", ["{}", "[1, 2]"])

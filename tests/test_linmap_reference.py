@@ -2,8 +2,8 @@
 
 big_c's contraction, std_to_coord, compose_std, embed_matrix and the
 associativity check of AlgebraSpec run on integer numerators over the sparse
-structure triples, and CoordMatrix.apply and component_sum_to_std on the
-integer view of exact elements; those two reject float inputs with
+structure triples, and CoordMatrix.apply and component_sum_to_std are
+exactla products over exact coordinates; those two reject float inputs with
 TypeError.  The dense Fraction loops they replaced are kept here as
 references: results must be equal, entry types included, and a corrupted
 tensor must be rejected with the same message, naming the same first

@@ -18,6 +18,8 @@ from ncdr.algebra import (
     COMPLEX,
     QUATERNIONS,
     Element,
+    conj,
+    inverse,
     make_quaternion_algebra,
     mul,
     norm_float,
@@ -132,7 +134,7 @@ def test_extensional_equal_conjugation_form():
     w = Fraction(-1, 2) * w
     for b in range(4):
         e = H.basis(b)
-        assert word_eval(w, {"h": e}) == e.conj()
+        assert word_eval(w, {"h": e}) == conj(e)
 
 
 def test_extensional_guard(monkeypatch):
@@ -159,9 +161,9 @@ def test_extensional_equal_is_exact_off_the_basis():
     x = wp_var("x")
     s = WordPoly.zero(H)
     for e in (ONE, I, J, K):
-        y = WordPoly.constant(e.inverse()) * x
+        y = WordPoly.constant(inverse(e)) * x
         for u in (I, J, K):
-            y = y - WordPoly.constant(u) * WordPoly.constant(e.inverse()) * x * WordPoly.constant(u)
+            y = y - WordPoly.constant(u) * WordPoly.constant(inverse(e)) * x * WordPoly.constant(u)
         s = s + Fraction(1, 4) * y
     affine = s - WordPoly.constant(ONE)
     assert len(affine.terms) == 17
