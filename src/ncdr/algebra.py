@@ -166,6 +166,8 @@ class AlgebraSpec:
         return Element(self, tuple(as_scalar(c) for c in coords))
 
     def basis(self, i: int) -> "Element":
+        if i not in range(self.dim):
+            raise RangeError(f"basis index {i!r} outside 0..{self.dim - 1}")
         return _exact(self, tuple([int(j == i) for j in range(self.dim)]), 1)
 
     def scalar(self, value: ScalarLike) -> "Element":

@@ -16,10 +16,10 @@ Taylor terms need only the diagonal of those derivatives, where the
 polarization holds each choice of k slots k! times: term k is the part of
 p(h + y0) of degree k in h.  taylor_poly therefore substitutes x = h + y0 and
 sorts the words by their count of h, C(n, k) words for term k of a degree-n
-monomial, not n!/(n-k)!.  WordPoly.substitute walks each word's slot
-fillings as a tree, so fillings that share a prefix share its constant
-products; TaylorExpansion.reconstruct substitutes h = x - y0 into all its
-terms at once, so their words merge once.
+monomial, not n!/(n-k)!.  WordPoly.substitute walks the slot fillings of all
+words at once and merges equal partial fillings before expanding them, so
+TaylorExpansion.reconstruct, which substitutes h = x - y0 into all its terms
+together, cancels its 3^n fillings where they meet instead of at the end.
 
 Formal words mixing constants and variables live in WordPoly.  Their
 factors are interned: Var(name) and Const(value) return the one live object
@@ -49,7 +49,7 @@ import itertools
 import math
 import threading
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -152,7 +152,15 @@ class Const(_Factor):
         return _CONSTS.get(key) or _intern(cls, _CONSTS, key, value)
 
     def _make_key(self) -> tuple:
-        return (1, self.value.coords)
+        # The coordinates, after floor(2^64 c) of the first one c: the same
+        # order, but mostly decided by comparing two ints, not Fractions.  A
+        # float sorts after the exact constant of equal coordinates.
+        v = self.value
+        ints, c = v._ints, v.coords[0]
+        if ints is None and not math.isfinite(c):
+            return (1, c, v.coords, True)
+        n, d = (ints[0][0], ints[1]) if ints else c.as_integer_ratio()
+        return (1, (n << 64) // d, v.coords, ints is None)
 
 
 Factor = Union[Var, Const]
@@ -166,11 +174,12 @@ def _is_central_scalar(e: Element) -> bool:
     return e._ints is not None and not any(e._ints[0][1:])
 
 
-def _collect(raw: Iterable[Term]) -> tuple[Term, ...]:
+def _collect(raw: Iterable[Term], sum_in: AlgebraSpec | None = None) -> tuple[Term, ...]:
     """Merge equal words and sort; every word must already be canonical.
 
-    Two or more terms that are a single constant become the one term of
-    their sum, fused like any constant; a lone one keeps its scale.
+    Two or more terms that are a single constant, or any number given sum_in,
+    become the one term of their sum, fused like any constant (rounded once at
+    the end if a float is among them, so in any order); a lone one keeps its scale.
     """
     collected: dict[Word, Fraction] = {}
     consts: list[Term] = []
@@ -183,9 +192,15 @@ def _collect(raw: Iterable[Term]) -> tuple[Term, ...]:
         prev = collected.setdefault(word, coeff)
         if len(collected) == size:
             collected[word] = prev + coeff
-    if len(consts) > 1:
-        values = [w[0].value * c for c, w in consts]
-        consts = WordPoly.constant(sum(values[1:], values[0])).terms
+    if len(consts) > 1 or sum_in:
+        alg = sum_in or consts[0][1][0].value.alg
+        if all(w[0].value._ints is not None for _, w in consts):
+            total = sum((w[0].value * c for c, w in consts), alg.zero)
+        else:  # exactly, but an infinite or NaN float has no exact value and stays one
+            cols = zip(*[[Fraction(a) * c if math.isfinite(a) else a * c for a in w[0].value.coords]
+                         for c, w in consts])
+            total = Element(alg, [float(sum(col)) for col in cols])
+        consts = WordPoly.constant(total).terms
     collected.update((w, c) for c, w in consts)
     terms = [(c, w) for w, c in collected.items() if c]
     terms.sort(key=lambda t: tuple(map(_factor_key, t[1])))
@@ -236,6 +251,15 @@ def _word(out: Word, pending: Const | Element | None) -> Word:
     if pending is None:
         return out
     return out + (pending if pending.__class__ is Const else Const(pending),)
+
+
+def _ends_constant(state: State, rest: int | None, rests: list) -> bool:
+    """Whether a filling of rest ends state, all constants so far, as a nonzero constant."""
+    if rest is None:
+        return True
+    steps, nxt = rests[rest]
+    ends = (_extend(state, w) for c, w in steps if not any(f.__class__ is Var for f in w))
+    return any(e is not None and _ends_constant(e, nxt, rests) for e in ends)
 
 
 def _canonical(alg: AlgebraSpec, raw: Iterable[Term]) -> tuple[Term, ...]:
@@ -346,42 +370,64 @@ class WordPoly:
     def substitute(self, name: str, replacement: "WordPoly") -> "WordPoly":
         """Replace every occurrence of the variable and expand products.
 
-        Each word's slot fillings are walked as a tree, so fillings that share
-        a prefix share its fusion: a word with n slots and a two-term
-        replacement costs about 2^(n+1) constant products instead of n 2^n.
-        A branch carries its pending constant on, interned only if it stays.
+        The fillings of all words are walked at once, level by level in the
+        slots left.  Equal states (prefix, pending constant by exact value,
+        rest of the word) from any words merge and sum their scales before
+        they expand, and one that sums to zero is dropped, so fillings that
+        cancel die where they meet.  _collect keeps a lone word of constants
+        only but sums two or more, so the walk counts the fillings reaching one.
         """
         self._check_same(replacement)
-        alg = self.alg
         x = Var(name)
         if not replacement.terms:
             # Only the words without x survive, and they stay canonical and sorted.
-            return WordPoly(alg, tuple(t for t in self.terms if x not in t[1]))
+            return WordPoly(self.alg, tuple(t for t in self.terms if x not in t[1]))
         # A coefficient of 1 leaves the scale as it is, and builds no Fraction.
         fills = [(None if c == 1 else c, w) for c, w in replacement.terms]
-        raw: list[Term] = []
+        # levels[n] maps a state with n slots left, (prefix, pending key, rest
+        # id), to [scale, fillings, pending].  rests[id] is each fill followed by
+        # the next segment, and the next rest's id.  A word enters as the empty
+        # state of its coefficient, before a rest of its own whose one step is its head.
+        levels: defaultdict[int, dict] = defaultdict(dict)
+        rests: list[tuple[list[Term], int | None]] = []
+        rest_ids: dict[tuple[Word, int | None], int] = {}
         for coeff, word in self.terms:
-            segments: list[list[Factor]] = [[]]
-            for f in word:
-                if f is x:
-                    segments.append([])
-                else:
-                    segments[-1].append(f)
-            first = _extend(((), None, coeff), segments[0])
-            stack = [(1, first)] if first is not None else []
-            while stack:
-                i, (out, pending, scale) = stack.pop()
-                if i == len(segments):
-                    raw.append((scale, _word(out, pending) or (Const(alg.one),)))
+            rid, end, n = None, len(word), 0
+            for pos in range(len(word) - 1, -1, -1):
+                if word[pos] is x:
+                    segment, nxt, end, n = word[pos + 1 : end], rid, pos, n + 1
+                    rid = rest_ids.setdefault((segment, nxt), len(rests))
+                    if rid == len(rests):
+                        rests.append(([(c, w + segment) for c, w in fills], nxt))
+            levels[n + 1][(), None, len(rests)] = [coeff, 1, None]
+            rests.append(([(None, word[:end])], rid))
+        reached = 0  # fillings that reach a word of constants only
+        for n in range(max(levels, default=0), 0, -1):
+            into = levels[n - 1]
+            for (out, _, rid), (scale, count, pending) in levels[n].items():
+                if count > 1 and not scale:  # only merged fillings can cancel
+                    if not out and reached < 2 and _ends_constant((out, pending, 1), rid, rests):
+                        reached += count
                     continue
-                for c, w in fills:
+                steps, nxt = rests[rid]
+                for c, w in steps:
                     state = _extend((out, pending, scale if c is None else scale * c), w)
-                    if state is not None:
-                        state = _extend(state, segments[i])
-                    if state is not None:
-                        stack.append((i + 1, state))
-        # The fillings come out fused, so they only need merging.
-        return WordPoly(alg, _collect(raw))
+                    if state is None:
+                        continue
+                    # An equal state sums the scales and counts.
+                    o, p, s = state
+                    v = p.value if p.__class__ is Const else p
+                    new = [s, count, p]
+                    slot = into.setdefault((o, v if v is None else v._ints or v._coords, nxt), new)
+                    if slot is not new:
+                        slot[0] += s
+                        slot[1] += count
+        ends = levels[0].items()
+        reached += sum(count for (out, _, _), (_, count, _) in ends if not out)
+        raw = [(s, _word(out, p) or (Const(self.alg.one),)) for (out, _, _), (s, _, p) in ends if s]
+        # The fillings come out fused, so they only need merging; fillings
+        # that cancelled count towards the words of constants only too.
+        return WordPoly(self.alg, _collect(raw, self.alg if reached > 1 else None))
 
     def substitute_element(self, name: str, value: Element) -> "WordPoly":
         return self.substitute(name, WordPoly.constant(value))
@@ -615,11 +661,12 @@ class TaylorExpansion:
     def reconstruct(self) -> NCPoly:
         """Substitute h = x - base_point and expand back to a polynomial in x.
 
-        All terms are substituted together, so their canonical words merge once.
+        All terms enter one walk unsorted, as terms of different degrees share
+        no word, and the fillings of any of them merge where they meet.
         """
         alg = self.base_point.alg
         shift = WordPoly.variable(alg, "x") - WordPoly.constant(self.base_point)
-        in_h = WordPoly(alg, _collect(w for t in self.terms for w in t.to_words("h").terms))
+        in_h = WordPoly(alg, tuple(w for t in self.terms for w in t.to_words("h").terms))
         return ncpoly_from_words(in_h.substitute("h", shift), "x")
 
 

@@ -389,3 +389,13 @@ def test_elements_stay_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         x.alg = COMPLEX
     assert x.coords == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("alg", [QUATERNIONS, COMPLEX], ids=["H", "C"])
+def test_basis_rejects_an_index_outside_the_dimension(alg):
+    assert [alg.basis(i).coords for i in range(alg.dim)] == [
+        tuple(Fraction(int(j == i)) for j in range(alg.dim)) for i in range(alg.dim)
+    ]
+    for i in (-1, alg.dim, 7, 1.5):
+        with pytest.raises(RangeError, match="basis index"):
+            alg.basis(i)

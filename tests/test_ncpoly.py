@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_mul_kernels import kernel_algebras
+from test_mul_kernels import DUAL_H, kernel_algebras
 from test_taylor_reference import _extend as eager_extend
 
 from ncdr import maps, ncpoly
@@ -808,6 +808,137 @@ def test_degree_six_round_trip_interns_few_constants():
         back = taylor_poly(p, y0).reconstruct()
     assert len(made) == 59
     assert back == ncpoly_from_words(p.to_words(), "x")
+
+
+def test_degree_six_round_trip_multiplies_little(monkeypatch):
+    # The same round trip, counting constant products.  Walking each word's
+    # fillings on its own built all 3^6 fillings of the reconstruction and
+    # made 1,330 products; merged states make 136.  The forward expansion,
+    # one word where nothing merges, makes 126.
+    rng = random.Random(20)
+    coeffs = [H.element([Fraction(rng.randint(-50, 50), 97) for _ in range(4)])
+              for _ in range(7)]
+    y0 = H.element([Fraction(rng.randint(-50, 50), 89) for _ in range(4)])
+    p = NCPoly(H, (Monomial(tuple(coeffs)),))
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return mul(x, y)
+
+    monkeypatch.setattr(ncpoly, "mul", counted)
+    t = taylor_poly(p, y0)
+    assert len(calls) == 126
+    back = t.reconstruct()
+    assert len(calls) == 126 + 136
+    assert back == ncpoly_from_words(p.to_words(), "x")
+
+
+def test_degree_twelve_round_trip():
+    # The largest monomial MAX_TAYLOR_WORDS admits, re-expanded and back.
+    rng = random.Random(12)
+    p = random_monomial(rng, MAX_TAYLOR_WORDS.bit_length() - 1)
+    assert p.degree == 12
+    y0 = random_element(rng)
+    assert taylor_poly(p, y0).reconstruct() == ncpoly_from_words(p.to_words(), "x")
+
+
+def test_lone_constant_counts_the_fillings_merged_into_it():
+    # Both words reach the state with pending -i after their first slot, so
+    # one merged filling ends as a constant.  _collect sums two words of
+    # constants only into one fused constant of scale 1, where a lone one
+    # would keep its scale: the walk must count both fillings.
+    b = H.element([1, 2, 3, 4])
+    x = Var("x")
+    w = WordPoly.build(H, [(Fraction(1), (Const(I), x, Const(J), x, Const(b))),
+                           (Fraction(1), (Const(K), x, x, Const(b)))])
+    j = WordPoly.constant(J)
+    got = w.substitute("x", j).terms
+    assert got == eager_substitute(w, "x", j).terms
+    assert got == ((Fraction(1), (Const(H.element([8, 6, -4, -2])),)),)
+
+
+@pytest.mark.parametrize(
+    "alg, fill, second, tail, summed",
+    [
+        (H, J, -I, (Const(H.element([3, 1, 4, 1])),), True),
+        (H, J, -I, (Var("y"),), False),
+        (DUAL_H, DUAL_H.basis(4), DUAL_H.basis(1), (Const(DUAL_H.basis(3)),), False),
+    ],
+    ids=["ends-constant", "variable-follows", "product-vanishes"],
+)
+def test_cancelled_fillings_count_where_they_end_as_constants(alg, fill, second, tail, summed):
+    # i x x tail and -(x second x tail) meet after their first slot, filled,
+    # in one state with opposite scales, which is dropped.  Their fillings end
+    # as words of constants only when the rest is constants whose product
+    # stays nonzero; then they and 2 d make three, which _collect sums into
+    # (1, 2d), and otherwise 2 d stays alone as (2, d).
+    x = Var("x")
+    d = alg.element(range(1, alg.dim + 1))
+    w = WordPoly.build(alg, [(Fraction(1), (Const(alg.basis(1)), x, x) + tail),
+                             (Fraction(-1), (x, Const(second), x) + tail),
+                             (Fraction(2), (Const(d),))])
+    replacement = WordPoly.constant(fill)
+    got = w.substitute("x", replacement).terms
+    assert got == eager_substitute(w, "x", replacement).terms
+    constant = (Fraction(1), (Const(d + d),)) if summed else (Fraction(2), (Const(d),))
+    assert constant in got
+
+
+def test_constant_sum_does_not_depend_on_the_walk_order():
+    # Words of constants only, one a float, summed as the walk meets them.
+    x = Var("x")
+    half_k = Element(H, (0.0, 0.0, 0.0, 0.5))
+    w = WordPoly.build(H, [(Fraction(1), (x, x, Const(H.scalar(Fraction(1, 3))))),
+                           (Fraction(1), (Const(K - ONE),)),
+                           (Fraction(1), (Const(half_k), x))])
+    one = WordPoly.constant(ONE)
+    assert w.substitute("x", one).terms == eager_substitute(w, "x", one).terms
+    # Merging the words of constants only gives one sum in every order.
+    parts = [(Fraction(1), (Const(v),)) for v in (Element(H, (0.1, 0.0, 0.0, 0.7)),
+                                                  H.element([Fraction(1, 3), 0, 0, 1]),
+                                                  Element(H, (0.2, 0.0, 0.0, 0.3)))]
+    assert len({ncpoly._collect(order) for order in itertools.permutations(parts)}) == 1
+
+
+SPLIT = make_quaternion_algebra(1, 1)
+
+
+@st.composite
+def merge_cases(draw):
+    """Words and a replacement over a few constants, so that fillings of
+    different words meet in equal states.
+
+    The constants are the signed units, one central scalar, one general
+    element and sometimes that element as a float, over division algebras,
+    split E(1, 1) and H[eps], where products of units can vanish.
+    """
+    alg = draw(st.sampled_from([H, COMPLEX, E, SPLIT, DUAL_H]))
+    general = alg.element([Fraction(k + 2, k + 1) for k in range(alg.dim)])
+    pool = [s * alg.basis(i) for s in (1, -1) for i in range(alg.dim)]
+    pool += [alg.scalar(3), general]
+    if draw(st.integers(0, 3)) == 0:
+        pool.append(Element(alg, tuple(map(float, general.coords))))
+    consts = st.sampled_from(pool).map(Const)
+    factors = st.one_of(st.just(Var("x")), st.just(Var("x")), st.just(Var("y")), consts)
+    units = st.sampled_from([Fraction(1), Fraction(-1)])
+
+    def words(coeffs, count, length):
+        lists = st.lists(factors, min_size=length[0], max_size=length[1])
+        return [(draw(coeffs), tuple(draw(lists))) for _ in range(draw(count))]
+
+    raw = words(st.one_of(units, small.filter(bool)), st.integers(1, 6), (0, 5))
+    fill = words(units, st.integers(1, 3), (1, 2))
+    return WordPoly.build(alg, raw), WordPoly.build(alg, fill)
+
+
+@given(merge_cases())
+@settings(max_examples=300, deadline=None)
+def test_merging_walk_matches_eager_substitute(case):
+    w, replacement = case
+    got = w.substitute("x", replacement).terms
+    assert got == eager_substitute(w, "x", replacement).terms
+    assert all(type(c) is Fraction for c, _ in got)
 
 
 def test_taylor_of_zero_polynomial():
