@@ -154,6 +154,11 @@ class AlgebraSpec:
         triples = [(k, l, p, float(c)) for k, l, p, c in self._nonzero_triples]
         return _kernel(self.dim, triples, "0.0")
 
+    def __hash__(self) -> int:  # cached: each interned constant's key hashes its algebra
+        return self._hash
+
+    _hash = cached_property(lambda self: hash((self.name, self.dim, self.conj_signs)))
+
     def __reduce__(self) -> tuple:
         # The cached kernels are functions, which do not pickle: rebuild.
         return AlgebraSpec, (self.name, self.dim, self.structure, self.conj_signs)
@@ -176,11 +181,11 @@ class AlgebraSpec:
             return _float_element(self, (float(v),) + (0.0,) * (self.dim - 1))
         return _exact(self, (v.numerator,) + (0,) * (self.dim - 1), v.denominator)
 
-    @property
+    @cached_property
     def zero(self) -> "Element":
         return self.scalar(0)
 
-    @property
+    @cached_property
     def one(self) -> "Element":
         return self.scalar(1)
 

@@ -101,7 +101,9 @@ class _Factor:
     """A frozen, interned factor: equal values are one object, so factors
     hash and compare by identity, and copies and unpickling re-intern.
     _key sorts canonical words, variables by name and then constants by
-    coordinates; it is filled on first read, as a factor may never be sorted."""
+    coordinates, an exact one before its float twin, so words that differ only
+    there keep one order whichever walk made them; it is filled on first read,
+    as a factor may never be sorted."""
 
     __slots__ = ()
     _field: str
@@ -152,15 +154,7 @@ class Const(_Factor):
         return _CONSTS.get(key) or _intern(cls, _CONSTS, key, value)
 
     def _make_key(self) -> tuple:
-        # The coordinates, after floor(2^64 c) of the first one c: the same
-        # order, but mostly decided by comparing two ints, not Fractions.  A
-        # float sorts after the exact constant of equal coordinates.
-        v = self.value
-        ints, c = v._ints, v.coords[0]
-        if ints is None and not math.isfinite(c):
-            return (1, c, v.coords, True)
-        n, d = (ints[0][0], ints[1]) if ints else c.as_integer_ratio()
-        return (1, (n << 64) // d, v.coords, ints is None)
+        return (1, self.value.coords, self.value._ints is None)
 
 
 Factor = Union[Var, Const]
@@ -582,12 +576,13 @@ class NCPoly:
         return max((m.degree for m in self.monomials), default=-1)
 
     def to_words(self, name: str = "x") -> WordPoly:
+        # Monomials read back from words share their coefficient objects
+        # (ncpoly_from_words), so each object is interned once.
+        x, made = Var(name), {}
         raw = []
         for m in self.monomials:
-            word: list[Factor] = [Const(m.coefficients[0])]
-            for c in m.coefficients[1:]:
-                word.append(Var(name))
-                word.append(Const(c))
+            word: list[Factor] = [x] * (2 * len(m.coefficients) - 1)
+            word[::2] = [made.get(id(c)) or made.setdefault(id(c), Const(c)) for c in m.coefficients]
             raw.append((Fraction(1), tuple(word)))
         return WordPoly.build(self.alg, raw)
 
@@ -601,7 +596,7 @@ def ncpoly_from_words(w: WordPoly, name: str = "x") -> NCPoly:
         coeffs: list[Element] = []
         current = alg.one
         for f in word:
-            if isinstance(f, Var):
+            if f.__class__ is Var:
                 if f.name != name:
                     raise ParseError(f"unexpected symbol {f.name}")
                 coeffs.append(current)
@@ -609,7 +604,8 @@ def ncpoly_from_words(w: WordPoly, name: str = "x") -> NCPoly:
             else:
                 current = f.value
         coeffs.append(current)
-        coeffs[0] = coeff * coeffs[0]
+        if coeff != 1:
+            coeffs[0] = coeff * coeffs[0]
         monos.append(Monomial(tuple(coeffs)))
     return NCPoly(alg, tuple(monos))
 
@@ -661,12 +657,12 @@ class TaylorExpansion:
     def reconstruct(self) -> NCPoly:
         """Substitute h = x - base_point and expand back to a polynomial in x.
 
-        All terms enter one walk unsorted, as terms of different degrees share
-        no word, and the fillings of any of them merge where they meet.
+        All terms are substituted together, so the fillings of any of them
+        merge where they meet.
         """
         alg = self.base_point.alg
         shift = WordPoly.variable(alg, "x") - WordPoly.constant(self.base_point)
-        in_h = WordPoly(alg, tuple(w for t in self.terms for w in t.to_words("h").terms))
+        in_h = NCPoly(alg, tuple(m for t in self.terms for m in t.monomials)).to_words("h")
         return ncpoly_from_words(in_h.substitute("h", shift), "x")
 
 
