@@ -326,7 +326,7 @@ class Element:
         return not self
 
     def to_float(self) -> "Element":
-        return _float_element(self._alg, _float_coords(self))
+        return self if self._ints is None else _float_element(self._alg, _float_coords(self))
 
     def __str__(self) -> str:
         return format_element(self)
@@ -427,11 +427,13 @@ def mul(x: Element, y: Element) -> Element:
     numerator products; one gcd reduces them over the product of the three
     denominators, and no Fraction is built.
     """
-    x._check_same(y)
     alg = x._alg
+    if alg is not y._alg:
+        x._check_same(y)
     xi, yi = x._ints, y._ints
     if xi is None or yi is None:
-        return _float_element(alg, alg._float_kernel(_float_coords(x), _float_coords(y)))
+        return _float_element(alg, alg._float_kernel(x._coords if xi is None else _float_coords(x),
+                                                     y._coords if yi is None else _float_coords(y)))
     (xn, dx), (yn, dy) = xi, yi
     return _reduced(alg, alg._int_kernel(xn, yn), alg._int_triples[0] * dx * dy)
 
@@ -464,7 +466,7 @@ def inverse(x: Element) -> Element:
     if not n:
         raise NotInvertible(f"{format_element(x)} has zero norm")
     if ints is None:
-        return c * (1.0 / n)
+        return _float_element(x._alg, tuple([v * (1.0 / n) for v in c._coords]))
     s = -1 if n < 0 else 1  # |x|^2 = n / den, so x^{-1} = conj(x) * den / n
     return _times(c, s * ints[1], s * n)
 

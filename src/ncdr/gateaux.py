@@ -12,11 +12,11 @@ tolerance REL_TOL for its convergence test.  The zero direction takes the
 general path: its samples f(x) - f(x) are 0, so it returns 0 with error 0.0
 where f is defined and finite at x, and raises what f raises where it is not.
 
-The samples, the Neville table and the Jacobian's rows are plain Python
-floats, one float operation per coordinate; the least-squares solve
-multiplies by big_c's exact pseudo-inverse in floats.  A derivative whose
-extrapolants or error estimate are NaN or infinite raises NonConvergent
-instead of passing as a value.
+The stencil is sampled eagerly, f on x + t a then on x - t a at each step,
+and each coordinate then runs its own Neville table, in plain Python floats.
+The Jacobian's snap stops at the first entry no small fraction is near; the
+least-squares solve multiplies by big_c's exact pseudo-inverse in floats.  A
+NaN or infinite extrapolant or error estimate raises NonConvergent.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .linmap import _float_rows_vec, _square
 BASE_STEP = 2.0**-6
 RATIO = 2.0
 LEVELS = 4
+#: The steps BASE_STEP / RATIO^k, k = 0 .. LEVELS - 1, largest first.
+STEPS = tuple(BASE_STEP / RATIO**k for k in range(LEVELS))
 #: Relative tolerance of the convergence test of every first derivative.
 REL_TOL = 1e-8
 #: Relative tolerance of second_gateaux's outer extrapolation.
@@ -66,29 +68,31 @@ class MapEvaluator:
         return self.fn(x)
 
 
-def _richardson(
-    sample: Callable[[float], list[float]], tol: float, message: str
-) -> tuple[list[float], float]:
-    """Extrapolate a central-difference sample with error series in t^2.
+def _richardson(rows: list[list[float]], tol: float, message: str) -> tuple[list[float], float]:
+    """Extrapolate the LEVELS sample rows, one per step, in t^2.
 
-    The error estimate is the final Neville correction, the change the last
-    extrapolation order made.  It estimates the remaining error and does not
-    bound it: rounding in f is not in it, and for inverse over H the true
-    error exceeded it at most of 2,000 dyadic points, by a median of 60x.
-    Unless it is finite and at most tol times the scale max(1, |value|),
-    NonConvergent is raised with message formatted from error and scale.
+    Each coordinate runs its own Neville table: column m divides by
+    RATIO^(2m) - 1 = 3, 15, 63.  The error estimate is the final Neville
+    correction, the change the last extrapolation order made.  It estimates
+    the remaining error and does not bound it: rounding in f is not in it,
+    and for inverse over H the true error exceeded it at most of 2,000
+    dyadic points, by a median of 60x.  Unless it is finite and at most tol
+    times the scale max(1, |value|), NonConvergent is raised with message
+    formatted from error and scale.
     """
-    row: list[list[float]] = []
-    for k in range(LEVELS):
-        prev, row = row, [sample(BASE_STEP / RATIO**k)]
-        for m in range(1, k + 1):
-            d = (RATIO * RATIO) ** m - 1
-            row.append([c + (c - q) / d for c, q in zip(row[m - 1], prev[m - 1])])
-    best = row[-1]
-    diffs = [abs(b - q) for b, q in zip(best, row[-2])]
-    # max skips a NaN that is not first; the sum of the differences does not.
+    best, diffs = [], []
+    for s0, s1, s2, s3 in zip(*rows):
+        t11 = s1 + (s1 - s0) / 3.0
+        t21 = s2 + (s2 - s1) / 3.0
+        t22 = t21 + (t21 - t11) / 15.0
+        t31 = s3 + (s3 - s2) / 3.0
+        t32 = t31 + (t31 - t21) / 15.0
+        t33 = t32 + (t32 - t22) / 63.0
+        best.append(t33)
+        diffs.append(abs(t33 - t32))
+    # max skips a NaN that is not first; the sum of magnitudes does not.
     err = math.nan if math.isnan(sum(diffs)) else max(diffs)
-    scale = max(1.0, *map(abs, best))
+    scale = math.nan if math.isnan(sum(map(abs, best))) else max(1.0, *map(abs, best))
     # A non-finite error fails, so no NaN or infinity passes as a derivative.
     if not (math.isfinite(err) and err <= tol * scale):
         raise NonConvergent(
@@ -97,22 +101,25 @@ def _richardson(
     return best, err
 
 
-def _directional(f: MapEvaluator, x: Element, a: Element) -> tuple[list[float], float]:
-    # x and a hold float coordinates, so x + t a is built coordinate-wise;
-    # (-t) v == -(t v) exactly, so x - t a is shifted(-t).
+def _stencil(f: Callable[[Element], Element], x: Element, a: Element) -> list[list[float]]:
+    """Rows (f(x + t a) - f(x - t a)) / 2t for t in STEPS, f on x + t a first.
+
+    x and a are float, x - t a is x + (-t) a as (-t) v == -(t v) exactly, and
+    f may return an exact element, as maps.constant does.
+    """
     alg, xc, ac = x.alg, x.coords, a.coords
+    rows = []
+    for t in STEPS:
+        plus = _float_coords(f(_float_element(alg, tuple([u + t * v for u, v in zip(xc, ac)]))))
+        minus = _float_coords(f(_float_element(alg, tuple([u + -t * v for u, v in zip(xc, ac)]))))
+        rows.append([(p - m) / (2.0 * t) for p, m in zip(plus, minus)])
+    return rows
 
-    def shifted(t: float) -> Element:
-        return _float_element(alg, tuple([u + t * v for u, v in zip(xc, ac)]))
 
-    def sample(t: float) -> list[float]:
-        # A map may return an exact element, as maps.constant does.
-        plus, minus = _float_coords(f(shifted(t))), _float_coords(f(shifted(-t)))
-        return [(p - m) / (2.0 * t) for p, m in zip(plus, minus)]
-
+def _directional(f: MapEvaluator, x: Element, a: Element) -> tuple[list[float], float]:
     try:
         return _richardson(
-            sample, REL_TOL, "extrapolants disagree by {error:.3e} (scale {scale:.3e})"
+            _stencil(f, x, a), REL_TOL, "extrapolants disagree by {error:.3e} (scale {scale:.3e})"
         )
     except NonConvergent as exc:
         # A pole at x itself (an inverse at 0) only shows as disagreement.
@@ -142,15 +149,11 @@ def second_gateaux(f: MapEvaluator, x: Element, a1: Element, a2: Element) -> Ele
     """
     x, a1, a2 = x.to_float(), a1.to_float(), a2.to_float()
 
-    def g(y: Element) -> list[float]:
-        value, _ = _directional(f, y, a1)
-        return value
-
-    def sample(t: float) -> list[float]:
-        return [(p - m) / (2.0 * t) for p, m in zip(g(x + t * a2), g(x - t * a2))]
+    def g(y: Element) -> Element:
+        return _float_element(f.alg, tuple(_directional(f, y, a1)[0]))
 
     value, _ = _richardson(
-        sample, SECOND_ORDER_TOL, "second-order extrapolants disagree by {error:.3e}"
+        _stencil(g, x, a2), SECOND_ORDER_TOL, "second-order extrapolants disagree by {error:.3e}"
     )
     return _float_element(f.alg, tuple(value))
 
@@ -180,16 +183,23 @@ def differential_std_components(f: MapEvaluator, x: Element) -> StdSolution:
 def jacobian_std_components(alg: AlgebraSpec, rows: tuple[tuple[float, ...], ...]) -> StdSolution:
     """Standard components of the map whose Jacobian is rows (float rows J).
 
-    Entries near small rationals (denominator <= SNAP_DENOMINATOR, within
-    SNAP_TOL) are snapped and solved exactly.  Otherwise the least-norm
-    components are big_c's pseudo-inverse times vec(J) in floats, and the
-    residual max |mat x - vec(J)| decides representability at LSTSQ_RESIDUAL_TOL.
+    Entries snap to fractions of denominator <= SNAP_DENOMINATOR within SNAP_TOL,
+    up to the first that does not; if all do, the map is solved exactly.  Else the
+    least-norm components are big_c's pseudo-inverse times vec(J) in floats, and
+    the residual max |mat x - vec(J)| decides representability at LSTSQ_RESIDUAL_TOL.
     """
     n = alg.dim
     b = [v for row in rows for v in row]
-    snapped = [Fraction(v).limit_denominator(SNAP_DENOMINATOR) for v in b]
-    if all(abs(float(s) - v) <= SNAP_TOL for s, v in zip(snapped, b)):
+    snapped = []
+    for v in b:
+        s = Fraction(v).limit_denominator(SNAP_DENOMINATOR)
+        if not abs(float(s) - v) <= SNAP_TOL:
+            break
+        snapped.append(s)
+    else:
         return coord_to_std(CoordMatrix(alg, _square(snapped, n)))
+    if not all(map(math.isfinite, b)):
+        list(map(Fraction, b))  # NaN or infinity raises as in a full snap
     B = big_c(alg)
     sol = _float_rows_vec(B.pinv_rows, b)
     residual = max(abs(v - w) for v, w in zip(_float_rows_vec(B.mat_rows, sol), b))

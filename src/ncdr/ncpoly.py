@@ -261,7 +261,8 @@ def _canonical(alg: AlgebraSpec, raw: Iterable[Term]) -> tuple[Term, ...]:
     for coeff, word in raw:
         if not coeff:
             continue
-        state = _extend(((), None, Fraction(coeff)), word)
+        coeff = coeff if coeff.__class__ is Fraction else Fraction(coeff)  # ints from build
+        state = _extend(((), None, coeff), word)
         if state is not None:
             out, pending, scale = state
             fused.append((scale, _word(out, pending) or (Const(alg.one),)))

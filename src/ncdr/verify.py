@@ -23,6 +23,7 @@ from .algebra import (
     QUATERNIONS,
     AlgebraSpec,
     Element,
+    _reduced,
     conj,
     inverse,
     mul,
@@ -124,18 +125,19 @@ class Report:
         return "\n".join(lines)
 
 
-def _random_fraction(rng: random.Random, hi: int = 5, den: int = 4) -> Fraction:
-    return Fraction(rng.randint(-hi, hi), rng.randint(1, den))
-
-
-def random_rational_element(rng: random.Random, alg: AlgebraSpec = H) -> Element:
-    return alg.element([_random_fraction(rng) for _ in range(alg.dim)])
+def random_rational_element(
+    rng: random.Random, alg: AlgebraSpec = H, hi: int = 5, den: int = 4
+) -> Element:
+    # Coordinates randint(-hi, hi) / randint(1, den), drawn in that order.
+    pairs = [(rng.randint(-hi, hi), rng.randint(1, den)) for _ in range(alg.dim)]
+    d = math.lcm(*[q for _, q in pairs])
+    return _reduced(alg, [p * (d // q) for p, q in pairs], d)
 
 
 def _numeric_direction(rng: random.Random) -> Element:
     # Gentle magnitudes keep the higher-order difference terms inside the
     # extrapolation's asymptotic regime at the default base step.
-    return H.element([Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(4)])
+    return random_rational_element(rng, H, 2, 2)
 
 
 def _numeric_point(rng: random.Random) -> Element:
@@ -153,7 +155,7 @@ def _nonzero_direction(rng: random.Random) -> Element:
 
 
 def _random_std(rng: random.Random, alg: AlgebraSpec = H) -> StdComponents:
-    rows = [[_random_fraction(rng) for _ in range(alg.dim)] for _ in range(alg.dim)]
+    rows = [random_rational_element(rng, alg).coords for _ in range(alg.dim)]
     return StdComponents.from_rows(alg, rows)
 
 

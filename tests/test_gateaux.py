@@ -261,6 +261,20 @@ def test_non_finite_derivatives_raise():
     assert math.isnan(info.value.error)
 
 
+def test_nan_extrapolant_reports_a_nan_scale():
+    # cube overflows at 10^120 in its unit coordinate, whose extrapolant
+    # turns NaN; max(1.0, nan) is 1.0, so max alone would report a scale of 1.
+    with pytest.raises(NonConvergent) as info:
+        jacobian(maps.cube(H), H.element([10**120, 0, 0, 0]))
+    assert math.isnan(info.value.error) and math.isnan(info.value.scale)
+    assert str(info.value) == "extrapolants disagree by nan (scale nan)"
+    # Finite extrapolants keep the scale max(1, |value|).
+    kink = MapEvaluator.unary(H, lambda x: 3.0 * abs(float(x.coords[0]) - 1.0075) * I.to_float())
+    with pytest.raises(NonConvergent) as info:
+        gateaux(kink, ONE, ONE)
+    assert 1.0 < info.value.scale < 4.0
+
+
 def test_overflowing_extrapolant_raises():
     # Finite samples M, M, 0, M at the four steps, whose last Neville
     # difference overflows: the extrapolant, the error estimate and the scale
