@@ -8,13 +8,16 @@ pseudo-inverses read is its integer matrix over that pivot value.  Products
 scale each row of the left factor and each column of the right one to
 integer numerators over the lcm of their denominators, take integer dot
 products and make one Fraction per entry.  Rows may be lists or tuples.
-No floating point anywhere.
+eliminate_blocks, for an integer matrix over one denominator, first splits it
+into the connected components of its nonzero pattern and runs the same
+routine once per block, so a sparse matrix pays for a few small eliminations
+instead of one large one.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import NamedTuple, Sequence
 
 from .errors import Singular
@@ -45,6 +48,14 @@ def int_rows(A: Matrix) -> IntRows:
     lcm, in tuples, so rows held in a cache cannot be changed."""
     rows = map(numerators, A)
     return tuple([(tuple([(k, a) for k, a in enumerate(nums) if a]), d) for nums, d in rows])
+
+
+def int_row(terms: list[tuple[int, int]], den: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The int_rows row of the nonzero (column, integer) pairs terms over den:
+    every integer divided by their one gcd with den, the denominator positive."""
+    g = gcd(den, *[a for _, a in terms])
+    g = -g if den < 0 else g
+    return tuple([(c, a // g) for c, a in terms]), den // g
 
 
 def _dot_rows(rows: IntRows, cols: list[tuple[list[int], int]]) -> Matrix:
@@ -216,6 +227,78 @@ def pseudo_inverse(M: Matrix) -> Matrix:
     Gt = list(zip(*G))
     left = mat_mul(Gt, inverse(mat_mul(G, Gt)))
     return mat_mul(left, mat_mul(inverse(mat_mul(Ft, list(zip(*Ft)))), Ft))
+
+
+class BlockElimination(NamedTuple):
+    rank: int
+    det: Fraction  # 0 unless square of full rank
+    pinv_rows: IntRows  # the Moore-Penrose inverse; the inverse at full rank
+    kernel: list[Vector]  # one vector per free column, in column order
+
+
+def _blocks(A: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """The connected components of A's nonzero pattern, in which a nonzero
+    entry links its row and its column, as (rows, columns), each ascending.
+    A zero row or column is a block of its own, without columns or rows."""
+    m, k = len(A), len(A[0])
+    root = list(range(m + k))  # row i, then column c at m + c
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]  # path halving
+        return x
+
+    for i, row in enumerate(A):
+        for c, a in enumerate(row):
+            if a:
+                root[find(m + c)] = find(i)
+    groups: dict[int, list[int]] = {}
+    for x in range(m + k):
+        groups.setdefault(find(x), []).append(x)
+    return [([x for x in g if x < m], [x - m for x in g if x >= m]) for g in groups.values()]
+
+
+def eliminate_blocks(A: list[list[int]], den: int) -> BlockElimination:
+    """Rank, determinant, Moore-Penrose inverse and kernel of the matrix A / den.
+
+    Permuting rows and columns makes A block diagonal, one block K per
+    connected component of its nonzero pattern, so each result is assembled
+    from the blocks' own.  A square K of full rank is one fraction-free
+    elimination of the integer [K | I], whose right half over its pivot value
+    is the inverse; any other K reads its kernel off the left half and takes
+    pseudo_inverse.
+    """
+    m, k = len(A), len(A[0])
+    pinv = [((), 1)] * k
+    kernel: list[tuple[int, Vector]] = []
+    rank, det_num, row_order, col_order = 0, 1, [], []
+    for rows, cols in _blocks(A):
+        row_order += rows
+        col_order += cols
+        w = len(cols)
+        E, pivots, sign, d = _fraction_free(
+            [[A[i][c] for c in cols] + [int(i == j) for j in rows] for i in rows])
+        left = [c for c in pivots if c < w]
+        rank += len(left)
+        if len(left) == len(rows) == w:
+            det_num *= sign * d
+            for c, row in zip(cols, E):
+                pinv[c] = int_row([(rows[j], den * a) for j, a in enumerate(row[w:]) if a], d)
+            continue
+        det_num = 0
+        free = [c for c in range(w) if c not in left]
+        for fc, v in zip(free, _kernel([[Fraction(a, d) for a in row[:w]] for row in E], left, w)):
+            at = dict(zip(cols, v))
+            kernel.append((cols[fc], [at.get(c, Fraction(0)) for c in range(k)]))
+        if left:
+            P = pseudo_inverse([[Fraction(A[i][c], den) for c in cols] for i in rows])
+            for c, (nums, q) in zip(cols, map(numerators, P)):
+                pinv[c] = (tuple([(rows[j], a) for j, a in enumerate(nums) if a]), q)
+    if det_num:  # times the sign of both permutations, by their inversions
+        orders = (row_order, col_order)
+        det_num *= (-1) ** sum([a > b for o in orders for i, a in enumerate(o) for b in o[i + 1 :]])
+    return BlockElimination(rank, Fraction(det_num, den**m), tuple(pinv),
+                            [v for _, v in sorted(kernel)])
 
 
 def min_norm_solution(M: Matrix, b: Vector) -> Vector | None:

@@ -8,9 +8,13 @@ components are unique.
 
 The exact layer runs on integers.  big_c keeps mat and its pseudo-inverse as
 integer rows, so std_to_coord and coord_to_std are one row-vector product each,
-plus a membership check when mat is singular; compose_std and embed_matrix sum
-numerators over the structure triples, and CoordMatrix.apply is one
-exactla.mat_vec.  Only final entries are Fractions.
+plus a membership check when mat is singular.  It builds the contraction as
+integers over den^2 and eliminates it with exactla.eliminate_blocks, one block
+of its nonzero pattern at a time (the graded E(a, b) gives four 4 x 4 blocks);
+mat holds one Fraction per distinct entry, and the cache keeps the last 64
+algebras.  compose_std and embed_matrix sum numerators over the structure
+triples, and CoordMatrix.apply is one exactla.mat_vec.  Only final entries
+are Fractions.
 
 CoordMatrix.apply and @, embed_matrix, coord_to_std and compose_std take
 exact scalars only; each raises TypeError on a float element or float-entry
@@ -145,7 +149,7 @@ class BigC:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # bounded: each entry keeps its algebra alive
 def big_c(alg: AlgebraSpec) -> BigC:
     n = alg.dim
     size = n * n
@@ -155,16 +159,19 @@ def big_c(alg: AlgebraSpec) -> BigC:
         for s, r, j, c2 in triples:
             if s == p:
                 acc[j * n + i][k * n + r] += c1 * c2
-    mat = [[Fraction(v, den * den) for v in row] for row in acc]
-    elim = exactla.eliminate_square(mat)
+    den2 = den * den
+    elim = exactla.eliminate_blocks(acc, den2)
+    # One Fraction per distinct entry: the contraction repeats a few values.
+    values = {v: Fraction(v, den2) for v in set().union(*acc)}
     return BigC(
         alg=alg,
-        mat=tuple(tuple(row) for row in mat),
+        mat=tuple([tuple([values[v] for v in row]) for row in acc]),
         rank=elim.rank,
         det=elim.det,
         zero_map_kernel=tuple(_square(v, n) for v in elim.kernel),
-        mat_rows=exactla.int_rows(mat),
-        pinv_rows=exactla.int_rows(elim.inverse or exactla.pseudo_inverse(mat)),
+        mat_rows=tuple([exactla.int_row([(c, v) for c, v in enumerate(row) if v], den2)
+                        for row in acc]),
+        pinv_rows=elim.pinv_rows,
     )
 
 
